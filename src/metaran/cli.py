@@ -12,7 +12,8 @@ from pathlib import Path
 
 from . import ddpg, meta as meta_mod
 from .episode import TaskEnv
-from .harness import MetricsLog, default_config, load_config, run_experiment, summarize
+from .harness import MetricsLog, _record_trace, default_config, load_config
+from .harness import run_experiment, summarize
 from .seeding import derive_rng
 
 
@@ -93,10 +94,7 @@ def main(argv=None) -> int:
             agent, trace = meta_mod.meta_adapt_new(model, new_task, schedule, hyper, seed)
             ddpg.save_agent(out / f"adapted_agent_seed{seed}.npz", agent)
             log = MetricsLog()
-            for entry in trace:
-                log.add("meta", new_task.task_id, seed, entry["shot"],
-                        entry["episode_return"], entry["q_avg"],
-                        entry["q_min"], entry["q_max"])
+            _record_trace(log, "meta", new_task.task_id, seed, trace)
             log.write_csvs(out)
             print(f"seed {seed}: final return {trace[-1]['episode_return']:.4f}")
         return 0

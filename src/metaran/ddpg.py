@@ -1,6 +1,5 @@
 """DDPG inner learner: replay buffer, actor-critic updates, evaluation."""
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -131,10 +130,8 @@ class DdpgAgent:
         )
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
-        self.actor_opt = nets.init_adam(
-            self.actor.parameters(), lr=hyper.effective_actor_lr
-        )
-        self.critic_opt = nets.init_adam(self.critic.parameters(), lr=hyper.lr)
+        self.actor_opt = nets.init_adam(self.actor.flat, lr=hyper.effective_actor_lr)
+        self.critic_opt = nets.init_adam(self.critic.flat, lr=hyper.lr)
         self.buffer = ReplayBuffer(hyper.buffer_capacity, obs_dim, act_dim)
         self.noise_std = hyper.noise_std
 
@@ -152,10 +149,8 @@ class DdpgAgent:
         nets.set_params_from_vector(self.critic, critic_vec)
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
-        self.actor_opt = nets.init_adam(
-            self.actor.parameters(), lr=self.hyper.effective_actor_lr
-        )
-        self.critic_opt = nets.init_adam(self.critic.parameters(), lr=self.hyper.lr)
+        self.actor_opt = nets.init_adam(self.actor.flat, lr=self.hyper.effective_actor_lr)
+        self.critic_opt = nets.init_adam(self.critic.flat, lr=self.hyper.lr)
 
     # -- acting ------------------------------------------------------------
 
@@ -205,19 +200,26 @@ class DdpgAgent:
         return float(-np.mean(q)), grads
 
     def train_step(self, batch: Batch):
-        """One critic + one actor Adam step on the batch, then soft updates."""
+        """One critic + one actor Adam step on the batch, then soft updates.
+
+        Each network's loss and gradient are checked before its Adam step, so
+        TrainingDivergence leaves that network and its optimizer as they were.
+        """
         critic_loss, c_grads = self.critic_gradients(batch)
-        nets.adam_step(self.critic.parameters(), c_grads, self.critic_opt)
+        _check_finite("critic", critic_loss, c_grads)
+        nets.adam_step(self.critic.flat, c_grads, self.critic_opt)
         actor_loss, a_grads = self.actor_gradients(batch)
-        nets.adam_step(self.actor.parameters(), a_grads, self.actor_opt)
-        if not (np.isfinite(critic_loss) and np.isfinite(actor_loss)):
-            raise TrainingDivergence(
-                f"non-finite loss (critic={critic_loss}, actor={actor_loss})"
-            )
+        _check_finite("actor", actor_loss, a_grads)
+        nets.adam_step(self.actor.flat, a_grads, self.actor_opt)
         tau = self.hyper.tau
-        nets.soft_update(self.target_actor.parameters(), self.actor.parameters(), tau)
-        nets.soft_update(self.target_critic.parameters(), self.critic.parameters(), tau)
+        nets.soft_update(self.target_actor.flat, self.actor.flat, tau)
+        nets.soft_update(self.target_critic.flat, self.critic.flat, tau)
         return critic_loss, actor_loss
+
+
+def _check_finite(name: str, loss: float, grads: np.ndarray) -> None:
+    if not (np.isfinite(loss) and np.isfinite(grads).all()):
+        raise TrainingDivergence(f"non-finite {name} loss or gradient (loss={loss})")
 
 
 def run_episode(agent: DdpgAgent, env, horizon: int, explore: bool, train: bool):
@@ -271,46 +273,26 @@ def evaluate_policy(agent: DdpgAgent, env, episodes: int, horizon: int) -> float
 
 def save_agent(path, agent: DdpgAgent) -> None:
     """Full agent checkpoint: networks, optimizer states, noise position."""
-    blob = {
-        "format_version": 1,
-        "obs_dim": agent.obs_dim,
-        "act_dim": agent.act_dim,
-        "hyper": json.dumps(asdict(agent.hyper)),
-        "noise_std": agent.noise_std,
-        "actor": agent.actor_vector(),
-        "critic": agent.critic_vector(),
-        "target_actor": nets.params_as_vector(agent.target_actor),
-        "target_critic": nets.params_as_vector(agent.target_critic),
-    }
-    for name, opt in (("aopt", agent.actor_opt), ("copt", agent.critic_opt)):
-        for key, val in nets.state_as_blob(opt).items():
-            blob[f"{name}_{key}"] = val
-    np.savez(path, **blob)
+    nets.save_checkpoint(
+        path,
+        {"obs_dim": int(agent.obs_dim), "act_dim": int(agent.act_dim),
+         "hyper": asdict(agent.hyper), "noise_std": agent.noise_std},
+        actor=agent.actor.flat,
+        critic=agent.critic.flat,
+        target_actor=agent.target_actor.flat,
+        target_critic=agent.target_critic.flat,
+        actor_opt=agent.actor_opt,
+        critic_opt=agent.critic_opt,
+    )
 
 
 def load_agent(path) -> DdpgAgent:
-    with np.load(path, allow_pickle=False) as data:
-        hyper_dict = json.loads(str(data["hyper"]))
-        hyper_dict["hidden_sizes"] = tuple(hyper_dict["hidden_sizes"])
-        hyper = Hyper(**hyper_dict)
-        agent = DdpgAgent(
-            int(data["obs_dim"]), int(data["act_dim"]), hyper,
-            rng=np.random.default_rng(0),
-        )
-        nets.set_params_from_vector(agent.actor, data["actor"])
-        nets.set_params_from_vector(agent.critic, data["critic"])
-        nets.set_params_from_vector(agent.target_actor, data["target_actor"])
-        nets.set_params_from_vector(agent.target_critic, data["target_critic"])
-        agent.noise_std = float(data["noise_std"])
-        for name in ("aopt", "copt"):
-            sub = {
-                key[len(name) + 1 :]: data[key]
-                for key in data.files
-                if key.startswith(name + "_")
-            }
-            opt = nets.state_from_blob(sub)
-            if name == "aopt":
-                agent.actor_opt = opt
-            else:
-                agent.critic_opt = opt
+    header, arrays = nets.load_checkpoint(path)
+    fields = header["hyper"]
+    hyper = Hyper(**{**fields, "hidden_sizes": tuple(fields["hidden_sizes"])})
+    agent = DdpgAgent(header["obs_dim"], header["act_dim"], hyper, np.random.default_rng(0))
+    for name in ("actor", "critic", "target_actor", "target_critic"):
+        nets.set_params_from_vector(getattr(agent, name), arrays[name])
+    agent.actor_opt, agent.critic_opt = arrays["actor_opt"], arrays["critic_opt"]
+    agent.noise_std = header["noise_std"]
     return agent

@@ -429,6 +429,9 @@ def five_number_summary(samples) -> tuple:
 
 
 def relative_gain(r_meta: float, r_base: float) -> float:
+    """(r_meta - r_base) / |r_base|; nan when the baseline return is 0."""
+    if r_base == 0:
+        return float("nan")
     return (r_meta - r_base) / abs(r_base)
 
 
@@ -459,10 +462,10 @@ def summarize(log: MetricsLog) -> str:
         baselines = {m: v for m, v in finals.items() if m != "meta"}
         best_base = max(baselines, key=baselines.get)
         gain = relative_gain(finals["meta"], baselines[best_base])
+        figure = (f"{gain * 100:.1f}%" if baselines[best_base] != 0
+                  else f"undefined ({best_base} final return is 0)")
         lines.append("")
-        lines.append(
-            f"Relative gain of meta over best baseline ({best_base}): {gain * 100:.1f}%"
-        )
+        lines.append(f"Relative gain of meta over best baseline ({best_base}): {figure}")
         lines.append(
             "(reported figure for the evaluation-scale setup in the source study: 19.8%)"
         )

@@ -76,6 +76,8 @@ def decode_action(
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (2 * n,):
         raise ContractViolation(f"raw action must have length {2 * n}")
+    if not np.isfinite(raw).all():
+        raise ContractViolation("raw action has non-finite entries")
     raw = np.clip(raw, -1.0, 1.0)
 
     requested = np.rint((raw[:n] + 1.0) / 2.0 * k).astype(int)

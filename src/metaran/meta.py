@@ -17,7 +17,8 @@ from .errors import ConfigurationError, TrainingDivergence
 from .mdp import TaskSpec
 from .seeding import derive_rng, derive_seed
 
-META_SNAPSHOT_VERSION = 1
+# Greedy evaluation episodes per adaptation shot (inner_adapt and mtl).
+ADAPT_EVAL_EPISODES = 3
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,6 @@ class MetaModel:
     critic_opt: nets.AdamState
     actor_sizes: tuple
     critic_sizes: tuple
-    lr: float
 
 
 def init_meta_model(
@@ -72,21 +72,12 @@ def init_meta_model(
         actor_vec=nets.params_as_vector(actor),
         critic_vec=nets.params_as_vector(critic),
         actor_opt=nets.init_adam(
-            [np.zeros(actor.num_parameters())],
-            lr=actor_lr if actor_lr > 0 else hyper.effective_actor_lr,
+            actor.flat, lr=actor_lr if actor_lr > 0 else hyper.effective_actor_lr
         ),
-        critic_opt=nets.init_adam(
-            [np.zeros(critic.num_parameters())],
-            lr=critic_lr if critic_lr > 0 else hyper.lr,
-        ),
+        critic_opt=nets.init_adam(critic.flat, lr=critic_lr if critic_lr > 0 else hyper.lr),
         actor_sizes=actor_sizes,
         critic_sizes=critic_sizes,
-        lr=hyper.lr,
     )
-
-
-def _flatten(grads: list) -> np.ndarray:
-    return np.concatenate([g.ravel() for g in grads])
 
 
 def query_gradients(agent: DdpgAgent, rng: np.random.Generator):
@@ -98,7 +89,7 @@ def query_gradients(agent: DdpgAgent, rng: np.random.Generator):
         return None
     _, c_grads = agent.critic_gradients(batch)
     _, a_grads = agent.actor_gradients(batch)
-    return _flatten(a_grads), _flatten(c_grads)
+    return a_grads, c_grads
 
 
 def apply_meta_update(meta: MetaModel, actor_grads: list, critic_grads: list) -> None:
@@ -109,8 +100,8 @@ def apply_meta_update(meta: MetaModel, actor_grads: list, critic_grads: list) ->
     g_critic = np.sum(critic_grads, axis=0)
     if not (np.isfinite(g_actor).all() and np.isfinite(g_critic).all()):
         raise TrainingDivergence("non-finite meta gradient")
-    nets.adam_step([meta.actor_vec], [g_actor], meta.actor_opt)
-    nets.adam_step([meta.critic_vec], [g_critic], meta.critic_opt)
+    nets.adam_step(meta.actor_vec, g_actor, meta.actor_opt)
+    nets.adam_step(meta.critic_vec, g_critic, meta.critic_opt)
 
 
 def meta_train(
@@ -176,7 +167,7 @@ def inner_adapt(
     hyper: Hyper,
     seed: int,
     stream: str = "adapt",
-    eval_episodes: int = 3,
+    eval_episodes: int = ADAPT_EVAL_EPISODES,
 ):
     """Initialize an agent from the meta parameters and train it on the task.
 
@@ -268,7 +259,6 @@ def run_baseline(
             critic_opt=init.critic_opt,
             actor_sizes=init.actor_sizes,
             critic_sizes=init.critic_sizes,
-            lr=hyper.lr,
         )
         return inner_adapt(donor_model, new_task, budget, hyper, seed)
 
@@ -287,7 +277,8 @@ def run_baseline(
         for shot, which in enumerate(mtl_schedule(budget), start=1):
             env = new_env if which == "new" else donor_env
             run_episode(agent, env, hyper.horizon, explore=True, train=True)
-            trace.append({"shot": shot, **_greedy_eval(agent, eval_env, hyper, 3)})
+            evaluation = _greedy_eval(agent, eval_env, hyper, ADAPT_EVAL_EPISODES)
+            trace.append({"shot": shot, **evaluation})
         return agent, trace
 
     raise ConfigurationError(f"unknown baseline kind {kind!r}")
@@ -297,41 +288,20 @@ def run_baseline(
 
 
 def save_meta_model(path, meta: MetaModel) -> None:
-    np.savez(
+    nets.save_checkpoint(
         path,
-        format_version=META_SNAPSHOT_VERSION,
-        actor_sizes=np.array(meta.actor_sizes),
-        critic_sizes=np.array(meta.critic_sizes),
+        {"actor_sizes": list(meta.actor_sizes), "critic_sizes": list(meta.critic_sizes)},
         actor_vec=meta.actor_vec,
         critic_vec=meta.critic_vec,
-        lr=meta.lr,
-        actor_opt_header=nets.state_as_blob(meta.actor_opt)["header"],
-        actor_opt_m0=meta.actor_opt.m[0],
-        actor_opt_v0=meta.actor_opt.v[0],
-        critic_opt_header=nets.state_as_blob(meta.critic_opt)["header"],
-        critic_opt_m0=meta.critic_opt.m[0],
-        critic_opt_v0=meta.critic_opt.v[0],
+        actor_opt=meta.actor_opt,
+        critic_opt=meta.critic_opt,
     )
 
 
 def load_meta_model(path) -> MetaModel:
-    with np.load(path) as data:
-        if int(data["format_version"]) != META_SNAPSHOT_VERSION:
-            raise ConfigurationError("unsupported meta snapshot version")
-        actor_opt = nets.state_from_blob(
-            {"header": data["actor_opt_header"],
-             "m0": data["actor_opt_m0"], "v0": data["actor_opt_v0"]}
-        )
-        critic_opt = nets.state_from_blob(
-            {"header": data["critic_opt_header"],
-             "m0": data["critic_opt_m0"], "v0": data["critic_opt_v0"]}
-        )
-        return MetaModel(
-            actor_vec=np.array(data["actor_vec"]),
-            critic_vec=np.array(data["critic_vec"]),
-            actor_opt=actor_opt,
-            critic_opt=critic_opt,
-            actor_sizes=tuple(int(s) for s in data["actor_sizes"]),
-            critic_sizes=tuple(int(s) for s in data["critic_sizes"]),
-            lr=float(data["lr"]),
-        )
+    header, arrays = nets.load_checkpoint(path)
+    return MetaModel(
+        actor_sizes=tuple(header["actor_sizes"]),
+        critic_sizes=tuple(header["critic_sizes"]),
+        **arrays,
+    )

@@ -184,11 +184,11 @@ def test_reward_contract():
 
 def test_adam_scalar_step_matches_hand_formula():
     start = time.perf_counter()
-    p = [np.array([0.0])]
+    p = np.array([0.0])
     state = nets.init_adam(p, lr=1e-4)
-    nets.adam_step(p, [np.array([1.0])], state)
+    nets.adam_step(p, np.array([1.0]), state)
     # t=1: m_hat = v_hat = 1, so the step is exactly lr / (1 + epsilon).
-    assert abs(p[0][0] - (-1e-4 / (1.0 + 1e-8))) < 1e-12
+    assert abs(p[0] - (-1e-4 / (1.0 + 1e-8))) < 1e-12
     assert time.perf_counter() - start < 1.0
 
 
@@ -344,8 +344,8 @@ def test_structural_properties_of_meta_loop():
         run_episode(by_hand, env, hyper.horizon, explore=True, train=True)
     qrng = derive_rng(2, "meta-train", "query", task.task_id)
     ga, gc = meta.query_gradients(by_hand, qrng)
-    nets.adam_step([ref.actor_vec], [ga], ref.actor_opt)
-    nets.adam_step([ref.critic_vec], [gc], ref.critic_opt)
+    nets.adam_step(ref.actor_vec, ga, ref.actor_opt)
+    nets.adam_step(ref.critic_vec, gc, ref.critic_opt)
     assert np.array_equal(trained.actor_vec, ref.actor_vec)
     assert np.array_equal(trained.critic_vec, ref.critic_vec)
 

@@ -16,7 +16,12 @@ from metaran.ddpg import (
     sample_batch,
     save_agent,
 )
-from metaran.errors import BufferNotReady, ConfigurationError, ContractViolation
+from metaran.errors import (
+    BufferNotReady,
+    ConfigurationError,
+    ContractViolation,
+    TrainingDivergence,
+)
 
 
 def tiny_hyper(**kw):
@@ -222,8 +227,7 @@ def test_critic_gradients_match_finite_differences():
     loss, grads = agent.critic_gradients(batch)
     assert np.isclose(loss, td_loss(agent, batch))
     fd = finite_diff(agent.critic.parameters(), lambda: td_loss(agent, batch))
-    for g, f in zip(grads, fd):
-        assert np.allclose(g, f, rtol=1e-5, atol=1e-8)
+    assert np.allclose(grads, np.concatenate([f.ravel() for f in fd]), rtol=1e-5, atol=1e-8)
 
 
 def test_actor_gradients_match_finite_differences():
@@ -232,8 +236,7 @@ def test_actor_gradients_match_finite_differences():
     loss, grads = agent.actor_gradients(batch)
     assert np.isclose(loss, actor_objective(agent, batch))
     fd = finite_diff(agent.actor.parameters(), lambda: actor_objective(agent, batch))
-    for g, f in zip(grads, fd):
-        assert np.allclose(g, f, rtol=1e-5, atol=1e-8)
+    assert np.allclose(grads, np.concatenate([f.ravel() for f in fd]), rtol=1e-5, atol=1e-8)
 
 
 # -- training mechanics ------------------------------------------------------
@@ -252,6 +255,21 @@ def test_train_step_moves_online_and_target_networks():
     # Target moved tau of the way toward the new online parameters.
     want = (1 - agent.hyper.tau) * ta0 + agent.hyper.tau * agent.actor_vector()
     assert np.allclose(ta1, want, atol=1e-12)
+
+
+def test_divergent_batch_raises_before_any_adam_step():
+    agent = make_agent()
+    agent.train_step(random_batch(agent, b=agent.hyper.batch_size))
+    batch = random_batch(agent, b=agent.hyper.batch_size, seed=4)
+    batch.rewards[1] = np.nan
+    kept = [agent.critic.flat, agent.target_actor.flat, agent.target_critic.flat,
+            agent.critic_opt.m, agent.critic_opt.v]
+    before = [a.copy() for a in kept]
+    steps = agent.critic_opt.step_count
+    with pytest.raises(TrainingDivergence):
+        agent.train_step(batch)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, before))
+    assert agent.critic_opt.step_count == steps
 
 
 def test_load_vectors_resets_targets_and_optimizers():
@@ -321,7 +339,7 @@ def test_save_load_agent_round_trip(tmp_path):
         nets.params_as_vector(agent.target_actor),
     )
     assert back.critic_opt.step_count == agent.critic_opt.step_count
-    assert all(np.array_equal(a, b) for a, b in zip(back.critic_opt.m, agent.critic_opt.m))
+    assert np.array_equal(back.critic_opt.m, agent.critic_opt.m)
     # The restored agent keeps learning without error.
     s = np.zeros(3)
     a = back.select_action(s, explore=False)

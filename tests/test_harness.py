@@ -203,6 +203,18 @@ def test_summarize_reports_gain_and_warns_on_partial_logs():
         summarize(solo)
 
 
+def test_zero_baseline_gain_is_undefined():
+    assert np.isnan(relative_gain(0.5, 0.0))
+    log = MetricsLog()
+    log.add("meta", 0, 0, 1, 0.5, 1.0, 1.0, 1.0)
+    log.add("scratch", 0, 0, 1, 0.0, 1.0, 1.0, 1.0)
+    text = summarize(log)
+    assert (
+        "Relative gain of meta over best baseline (scratch): "
+        "undefined (scratch final return is 0)"
+    ) in text
+
+
 def test_summarize_flags_single_seed():
     log = MetricsLog()
     for method in ("meta", "scratch"):

@@ -89,6 +89,16 @@ def test_decode_wrong_length_rejected():
         decode_action(np.zeros(5), cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [1, 4])  # RB-request half, power half
+def test_decode_rejects_non_finite_entries(bad, index):
+    cfg = CellConfig(num_ues=3, num_rbs=12)
+    raw = np.zeros(6)
+    raw[index] = bad
+    with pytest.raises(ContractViolation):
+        decode_action(raw, cfg)
+
+
 def test_decode_feasibility_invariants_random():
     rng = np.random.default_rng(0)
     cfg = CellConfig(num_ues=4, num_rbs=10)

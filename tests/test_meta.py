@@ -85,8 +85,8 @@ def test_single_task_update_equals_plain_adam_step():
     gc = rng.normal(size=m.critic_vec.shape)
 
     ref = init_meta_model(5, 2, h, seed=1)
-    nets.adam_step([ref.actor_vec], [ga.copy()], ref.actor_opt)
-    nets.adam_step([ref.critic_vec], [gc.copy()], ref.critic_opt)
+    nets.adam_step(ref.actor_vec, ga.copy(), ref.actor_opt)
+    nets.adam_step(ref.critic_vec, gc.copy(), ref.critic_opt)
 
     apply_meta_update(m, [ga], [gc])
     assert np.allclose(m.actor_vec, ref.actor_vec, atol=0)
@@ -276,4 +276,4 @@ def test_save_load_meta_model_round_trip(tmp_path):
     assert np.array_equal(back.critic_vec, m.critic_vec)
     assert back.actor_opt.step_count == 1
     assert back.actor_opt.lr == 2e-4 and back.critic_opt.lr == 3e-3
-    assert np.array_equal(back.critic_opt.m[0], m.critic_opt.m[0])
+    assert np.array_equal(back.critic_opt.m, m.critic_opt.m)

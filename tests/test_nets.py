@@ -28,6 +28,17 @@ def test_init_deterministic_per_seed():
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
+def test_layer_views_alias_the_flat_vector():
+    net = nets.init_network((3, 4, 2), seed=0)
+    assert all(np.shares_memory(p, net.flat) for p in net.parameters())
+    assert np.array_equal(np.concatenate([p.ravel() for p in net.parameters()]), net.flat)
+    net.weights[1][2, 1] = 7.0
+    assert net.flat[3 * 4 + 4 + 2 * 2 + 1] == 7.0
+    net.flat[-1] = -3.0
+    assert net.biases[1][1] == -3.0
+    assert not np.shares_memory(net.copy().flat, net.flat)
+
+
 def test_parameter_count_matches_closed_form():
     sizes = (5, 300, 400, 400, 2)
     net = nets.init_network(sizes, seed=0)
@@ -116,8 +127,7 @@ def test_backward_matches_finite_differences(activation):
     out, tape = nets.forward(net, x)
     grads, _ = nets.backward(net, tape, w)
     fd = finite_diff_param_grads(net, x, w)
-    for g, f in zip(grads, fd):
-        assert np.allclose(g, f, rtol=1e-6, atol=1e-8)
+    assert np.allclose(grads, np.concatenate([f.ravel() for f in fd]), rtol=1e-6, atol=1e-8)
 
 
 def test_input_gradient_matches_finite_differences():
@@ -165,55 +175,82 @@ def test_backward_rejects_mismatched_grad_shape():
 
 def test_adam_first_step_matches_hand_formula():
     # theta=0, g=1, lr=1e-4, defaults: m_hat=1, v_hat=1, step=lr/(1+eps).
-    p = [np.zeros(1)]
+    p = np.zeros(1)
     state = nets.init_adam(p, lr=1e-4)
-    nets.adam_step(p, [np.ones(1)], state)
+    nets.adam_step(p, np.ones(1), state)
     want = -1e-4 / (1.0 + 1e-8)
-    assert abs(p[0][0] - want) < 1e-12
+    assert abs(p[0] - want) < 1e-12
     assert state.step_count == 1
 
 
 def test_adam_zero_betas_is_sign_sgd():
     rng = np.random.default_rng(0)
-    p = [rng.normal(size=4)]
-    before = p[0].copy()
+    p = rng.normal(size=4)
+    before = p.copy()
     g = rng.normal(size=4)
     state = nets.init_adam(p, lr=1e-2, beta1=0.0, beta2=0.0, epsilon=1e-12)
-    nets.adam_step(p, [g.copy()], state)
-    assert np.allclose(p[0], before - 1e-2 * np.sign(g), atol=1e-9)
+    nets.adam_step(p, g.copy(), state)
+    assert np.allclose(p, before - 1e-2 * np.sign(g), atol=1e-9)
 
 
 def test_adam_rejects_shape_mismatch():
-    p = [np.zeros(3)]
+    p = np.zeros(3)
     state = nets.init_adam(p)
     with pytest.raises(ContractViolation):
-        nets.adam_step(p, [np.zeros(4)], state)
+        nets.adam_step(p, np.zeros(4), state)
 
 
 def test_adam_updates_in_place():
     net = nets.init_network((2, 3, 1), seed=0)
-    params = net.parameters()
-    state = nets.init_adam(params, lr=1e-2)
+    state = nets.init_adam(net.flat, lr=1e-2)
     before = nets.params_as_vector(net).copy()
-    nets.adam_step(params, [np.ones_like(p) for p in params], state)
+    nets.adam_step(net.flat, np.ones_like(net.flat), state)
     assert not np.allclose(nets.params_as_vector(net), before)
+
+
+def test_flat_adam_and_soft_update_equal_per_layer_reference_bitwise():
+    # Elementwise arithmetic does not depend on the layout, so one pass over
+    # the flat vector must reproduce the per-layer formulas bit for bit.
+    net = nets.init_network((4, 6, 3), seed=3)
+    target = nets.init_network((4, 6, 3), seed=4)
+    ref = [p.copy() for p in net.parameters()]
+    ref_target = [p.copy() for p in target.parameters()]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+    state = nets.init_adam(net.flat, lr=1e-3)
+    rng = np.random.default_rng(0)
+    for t in range(1, 4):
+        g = rng.normal(size=net.flat.size)
+        nets.adam_step(net.flat, g, state)
+        nets.soft_update(target.flat, net.flat, 0.05)
+        g_layers = nets.DenseNetwork(net.layer_sizes, g).parameters()
+        for p, gp, (m, v) in zip(ref, g_layers, moments):
+            m *= 0.9
+            m += (1.0 - 0.9) * gp
+            v *= 0.999
+            v += (1.0 - 0.999) * gp * gp
+            p -= 1e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        for tp, p in zip(ref_target, ref):
+            tp *= 1.0 - 0.05
+            tp += 0.05 * p
+    assert np.array_equal(np.concatenate([p.ravel() for p in ref]), net.flat)
+    assert np.array_equal(np.concatenate([p.ravel() for p in ref_target]), target.flat)
 
 
 # -- soft update and vector round trips --------------------------------------
 
 
 def test_soft_update_formula():
-    t = [np.array([1.0, 2.0])]
-    s = [np.array([3.0, 4.0])]
+    t = np.array([1.0, 2.0])
+    s = np.array([3.0, 4.0])
     nets.soft_update(t, s, tau=0.25)
-    assert np.allclose(t[0], [1.5, 2.5])
+    assert np.allclose(t, [1.5, 2.5])
 
 
 def test_soft_update_tau_one_copies_source():
-    t = [np.zeros(3)]
-    s = [np.arange(3.0)]
+    t = np.zeros(3)
+    s = np.arange(3.0)
     nets.soft_update(t, s, tau=1.0)
-    assert np.array_equal(t[0], s[0])
+    assert np.array_equal(t, s)
 
 
 def test_vector_round_trip():
@@ -226,21 +263,16 @@ def test_vector_round_trip():
         nets.set_params_from_vector(net, vec[:-1])
 
 
-def test_save_load_round_trip(tmp_path):
-    net = nets.init_network((4, 6, 2), seed=11, output_activation="identity")
-    path = tmp_path / "net.npz"
-    nets.save_network(path, net)
-    back = nets.load_network(path)
-    assert back.layer_sizes == net.layer_sizes
-    assert back.output_activation == "identity"
-    assert np.array_equal(nets.params_as_vector(back), nets.params_as_vector(net))
-
-
-def test_adam_state_blob_round_trip():
-    p = [np.zeros((2, 3)), np.zeros(3)]
+def test_adam_state_blob_round_trip(tmp_path):
+    p = np.zeros(9)
     state = nets.init_adam(p, lr=5e-3, beta1=0.8)
-    nets.adam_step(p, [np.ones((2, 3)), np.ones(3)], state)
-    back = nets.state_from_blob(nets.state_as_blob(state))
+    nets.adam_step(p, np.ones(9), state)
+    path = tmp_path / "opt.npz"
+    nets.save_checkpoint(path, {"note": "x"}, opt=state, params=p)
+    header, arrays = nets.load_checkpoint(path)
+    back = arrays["opt"]
+    assert header == {"format_version": nets.CHECKPOINT_VERSION, "note": "x"}
     assert back.step_count == 1 and back.lr == 5e-3 and back.beta1 == 0.8
-    assert all(np.array_equal(a, b) for a, b in zip(back.m, state.m))
-    assert all(np.array_equal(a, b) for a, b in zip(back.v, state.v))
+    assert np.array_equal(back.m, state.m)
+    assert np.array_equal(back.v, state.v)
+    assert np.array_equal(arrays["params"], p)
