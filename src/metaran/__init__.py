@@ -11,7 +11,7 @@ from .errors import (
     ContractViolation,
     TrainingDivergence,
 )
-from .mdp import AllocationAction, MdpState, TaskSpec
+from .mdp import AllocationAction, TaskSpec
 from .meta import MetaModel, MetaSchedule
 from .nets import AdamState, DenseNetwork
 
@@ -27,7 +27,6 @@ __all__ = [
     "DenseNetwork",
     "EnvSnapshot",
     "Hyper",
-    "MdpState",
     "MetaModel",
     "MetaSchedule",
     "RateReport",

@@ -50,7 +50,6 @@ class CellConfig:
     cell_radius: float = 500.0
     num_neighbors: int = 2
     neighbor_occupancy: float = 0.5
-    subcarrier_spacing: float = 15e3  # informational only
 
     def __post_init__(self):
         if self.num_rbs <= 0 or self.num_ues <= 0:
@@ -109,9 +108,6 @@ class RateReport:
     """Per-UE achievable rates for one allocation."""
 
     per_ue_rate: np.ndarray  # (N,) bits/s
-    min_rate: float  # bits/s, min over active UEs (0 if none active)
-    interference: np.ndarray  # (N, K) mW
-    sinr: np.ndarray  # (N, K) dimensionless
     active: np.ndarray  # (N,) bool, traffic level != idle
 
 
@@ -202,17 +198,14 @@ def sample_channel(
 
 
 def _validate_alloc(alloc, config: CellConfig) -> None:
-    e = alloc.rb_indicator
-    p = alloc.per_rb_power
-    if e.shape != (config.num_ues, config.num_rbs):
-        raise ContractViolation("rb_indicator has wrong shape")
-    if not np.isin(e, (0, 1)).all():
-        raise ContractViolation("rb_indicator must be binary")
-    if e.sum() > config.num_rbs:
-        raise ContractViolation("more RBs assigned than available")
-    if (e.sum(axis=0) > 1).any():
-        raise ContractViolation("an RB is assigned to more than one UE")
-    assigned = e.sum(axis=0) > 0
+    """Shape, owner range and power bounds; one owner per RB holds by type."""
+    owner, p = alloc.rb_owner, alloc.per_rb_power
+    k, n = config.num_rbs, config.num_ues
+    if owner.shape != (k,) or p.shape != (k,) or alloc.rb_requested.shape != (n,):
+        raise ContractViolation("allocation arrays have the wrong shape")
+    if owner.dtype.kind != "i" or (owner < -1).any() or (owner >= n).any():
+        raise ContractViolation("rb_owner must hold UE indices in [-1, N)")
+    assigned = owner >= 0
     eps = 1e-9
     if (p[assigned] < config.p_min - eps).any() or (p[assigned] > config.p_max + eps).any():
         raise ContractViolation("assigned RB power outside [p_min, p_max]")
@@ -225,13 +218,15 @@ def compute_rates(
 ) -> RateReport:
     """Shannon rate per UE with path loss, fading and neighbor interference.
 
-    c_u = sum_k B * e[u,k] * log2(1 + p[k] * d_u**-eta * g[u,k] / (I[u,k] + noise)).
+    c_u = sum_k B * e[u,k] * log2(1 + p[k] * d_u**-eta * g[u,k] / (I[u,k] + noise)),
+    where e[u,k] = 1 exactly when UE u owns RB k.
     """
     _validate_alloc(alloc, config)
     eta = config.path_loss_exp
     d_own = np.maximum(np.linalg.norm(s.ue_positions, axis=1), MIN_DISTANCE)
     signal = alloc.per_rb_power[None, :] * d_own[:, None] ** (-eta) * ch.gain
 
+    interference = 0.0
     if config.num_neighbors > 0:
         diff = s.ue_positions[None, :, :] - config.neighbor_positions()[:, None, :]
         d_nb = np.maximum(np.linalg.norm(diff, axis=2), MIN_DISTANCE)  # (M, N)
@@ -239,17 +234,7 @@ def compute_rates(
             ch.neighbor_power[:, None, :] * d_nb[:, :, None] ** (-eta) * ch.neighbor_gain,
             axis=0,
         )
-    else:
-        interference = np.zeros_like(ch.gain)
 
     sinr = signal / (interference + config.noise_rb_mw)
     rates = config.rb_bandwidth * np.sum(alloc.rb_indicator * np.log2(1.0 + sinr), axis=1)
-    active = s.active_mask
-    min_rate = float(rates[active].min()) if active.any() else 0.0
-    return RateReport(
-        per_ue_rate=rates,
-        min_rate=min_rate,
-        interference=interference,
-        sinr=sinr,
-        active=active,
-    )
+    return RateReport(per_ue_rate=rates, active=s.active_mask)

@@ -110,7 +110,7 @@ def main(argv=None) -> int:
         hyper = config.hyper()
         seed = config.seeds[0]
         env = TaskEnv(new_task, derive_rng(seed, "cli-eval", "env"))
-        ret = ddpg.evaluate_policy(agent, env, args.episodes, hyper.horizon)
+        ret = ddpg.evaluate_policy(agent, env, args.episodes, hyper.horizon)["episode_return"]
         print(f"mean discounted return over {args.episodes} episodes: {ret:.6f}")
         return 0
 

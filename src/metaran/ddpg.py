@@ -75,17 +75,6 @@ class ReplayBuffer:
         self.next_states[i] = tr.next_state
         self.insert_count += 1
 
-    def partition_indices(self, partition: str) -> np.ndarray:
-        size = len(self)
-        idx = np.arange(size)
-        # Capacity is even, so slot parity == insertion parity.
-        if partition == "support":
-            return idx[idx % 2 == 0]
-        if partition == "query":
-            return idx[idx % 2 == 1]
-        raise ContractViolation(f"unknown partition {partition!r}")
-
-
 @dataclass(frozen=True)
 class Batch:
     states: np.ndarray
@@ -97,13 +86,19 @@ class Batch:
 def sample_batch(
     buffer: ReplayBuffer, batch_size: int, partition: str, rng: np.random.Generator
 ) -> Batch:
-    """Uniform without-replacement sample from one partition."""
-    if len(buffer) < 2 * batch_size:
-        raise BufferNotReady(
-            f"buffer holds {len(buffer)} < {2 * batch_size} transitions"
-        )
-    pool = buffer.partition_indices(partition)
-    idx = rng.choice(pool, size=batch_size, replace=False)
+    """Uniform without-replacement sample from one partition.
+
+    Capacity is even, so slot parity equals insertion parity: support draws
+    the even slots 0, 2, ... and query the odd slots 1, 3, ...
+    """
+    size = len(buffer)
+    if size < 2 * batch_size:
+        raise BufferNotReady(f"buffer holds {size} < {2 * batch_size} transitions")
+    if partition not in ("support", "query"):
+        raise ContractViolation(f"unknown partition {partition!r}")
+    offset = 0 if partition == "support" else 1
+    count = (size + 1 - offset) // 2  # slots with that parity
+    idx = offset + 2 * rng.choice(count, size=batch_size, replace=False)
     return Batch(
         states=buffer.states[idx],
         actions=buffer.actions[idx],
@@ -257,15 +252,18 @@ def run_episode(agent: DdpgAgent, env, horizon: int, explore: bool, train: bool)
     return total, {"q_avg": q_sums[0], "q_min": q_sums[1], "q_max": q_sums[2]}
 
 
-def evaluate_policy(agent: DdpgAgent, env, episodes: int, horizon: int) -> float:
-    """Mean discounted return of the greedy (noise-free) policy."""
+def evaluate_policy(agent: DdpgAgent, env, episodes: int, horizon: int) -> dict:
+    """Greedy (noise-free) policy over `episodes` episodes: the mean
+    discounted return as "episode_return" plus the mean QoS stats."""
     if episodes < 1:
         raise ContractViolation("episodes must be >= 1")
-    returns = [
-        run_episode(agent, env, horizon, explore=False, train=False)[0]
-        for _ in range(episodes)
-    ]
-    return float(np.mean(returns))
+    rets, qoses = [], []
+    for _ in range(episodes):
+        ret, qos = run_episode(agent, env, horizon, explore=False, train=False)
+        rets.append(ret)
+        qoses.append(qos)
+    mean_qos = {k: float(np.mean([q[k] for q in qoses])) for k in qoses[0]}
+    return {"episode_return": float(np.mean(rets)), **mean_qos}
 
 
 # -- checkpointing ---------------------------------------------------------

@@ -53,8 +53,8 @@ class TaskEnv:
         self.last_report = cell.compute_rates(
             self.prev_alloc, ch, self.snapshot, self.config
         )
-        state = mdp.encode_state(self.last_report, self.prev_alloc, self.task)
-        return state.as_vector()
+        qos = mdp.qos_stats(self.last_report, self.task)
+        return mdp.encode_state(qos, self.prev_alloc, self.task)
 
     def step(self, raw_action: np.ndarray):
         """Apply one raw actor output; returns (obs, reward, info)."""
@@ -67,24 +67,14 @@ class TaskEnv:
         idle = ~s.active_mask
         alloc = mdp.decode_action(raw_action, self.config, idle_mask=idle)
         report = cell.compute_rates(alloc, ch, s, self.config)
-        reward = mdp.compute_reward(report, alloc, self.task)
-        state = mdp.encode_state(report, alloc, self.task)
+        qos = mdp.qos_stats(report, self.task)
+        reward = mdp.compute_reward(qos, alloc, self.task)
+        state = mdp.encode_state(qos, alloc, self.task)
 
         self.snapshot = s
         self.prev_alloc = alloc
         self.last_report = report
 
-        if report.active.any():
-            rates = report.per_ue_rate[report.active]
-            q_avg, q_min, q_max = rates.mean(), rates.min(), rates.max()
-        else:
-            q_avg = q_min = q_max = self.task.demand_max
         p_c, k_r = mdp.compute_penalties(alloc, self.config)
-        info = {
-            "q_avg": float(q_avg),
-            "q_min": float(q_min),
-            "q_max": float(q_max),
-            "power_penalty": p_c,
-            "rb_penalty": k_r,
-        }
-        return state.as_vector(), reward, info
+        info = {**mdp.qos_info(qos), "power_penalty": p_c, "rb_penalty": k_r}
+        return state, reward, info

@@ -34,7 +34,6 @@ class CellBlock:
     cell_radius_m: float = 500.0
     num_neighbors: int = 2
     neighbor_occupancy: float = 0.5
-    subcarrier_spacing: float = 15e3
 
 
 @dataclass(frozen=True)
@@ -53,29 +52,13 @@ class ScheduleBlock:
 
 
 @dataclass(frozen=True)
-class AgentBlock:
-    gamma: float = 0.99
-    lr: float = 1e-4
-    actor_lr: float = 0.0  # 0 means "same as lr"
-    tau: float = 0.005
-    noise_std: float = 0.2
-    noise_decay: float = 0.999
-    noise_floor: float = 0.02
-    batch_size: int = 128
-    buffer_capacity: int = 100_000
-    horizon: int = 200
-    hidden_sizes: tuple = (300, 400, 400)
-    warmup_transitions: int = 0
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     profile: str
     cell: CellBlock
     tasks: tuple  # donor TaskBlocks
     new_task: TaskBlock
     schedule: ScheduleBlock
-    agent: AgentBlock
+    agent: Hyper
     seeds: tuple
     out_dir: str
     donor_budget: int = 0
@@ -115,7 +98,6 @@ class ExperimentConfig:
             cell_radius=c.cell_radius_m,
             num_neighbors=c.num_neighbors,
             neighbor_occupancy=c.neighbor_occupancy,
-            subcarrier_spacing=c.subcarrier_spacing,
         )
 
     def donor_task_specs(self) -> list:
@@ -148,7 +130,7 @@ class ExperimentConfig:
         )
 
     def hyper(self) -> Hyper:
-        return Hyper(**dataclasses.asdict(self.agent))
+        return self.agent
 
 
 def _from_dict(cls, data, path):
@@ -167,7 +149,7 @@ def _from_dict(cls, data, path):
         elif name == "schedule":
             value = _from_dict(ScheduleBlock, value, sub)
         elif name == "agent":
-            value = _from_dict(AgentBlock, value, sub)
+            value = _from_dict(Hyper, value, sub)
         elif name == "new_task":
             value = _from_dict(TaskBlock, value, sub)
         elif name == "tasks":
@@ -179,7 +161,7 @@ def _from_dict(cls, data, path):
         kwargs[name] = value
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
@@ -217,7 +199,7 @@ def default_config(profile: str = "paper", out_dir: str = "results") -> Experime
             ),
             new_task=TaskBlock(num_rbs=80, demand_min=2e6, demand_max=c_x),
             schedule=ScheduleBlock(outer_iters=100, eval_episodes=10),
-            agent=AgentBlock(),
+            agent=Hyper(),
             seeds=(0, 1, 2),
             out_dir=out_dir,
             donor_budget=1000,
@@ -242,7 +224,7 @@ def default_config(profile: str = "paper", out_dir: str = "results") -> Experime
                 meta_actor_lr=3e-4,
                 meta_critic_lr=3e-3,
             ),
-            agent=AgentBlock(
+            agent=Hyper(
                 gamma=0.9,
                 lr=1e-3,
                 actor_lr=3e-5,

@@ -27,28 +27,21 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class AllocationAction:
-    """Decoded, physically feasible allocation."""
+    """Decoded, physically feasible allocation.
 
-    rb_indicator: np.ndarray  # (N, K) binary, each RB owned by <= 1 UE
+    rb_owner[k] is the UE that owns RB k, or -1 where the RB is unassigned,
+    so no RB can have two owners.
+    """
+
+    rb_owner: np.ndarray  # (K,) int, owning UE index or -1
     rb_requested: np.ndarray  # (N,) pre-truncation requested counts
     per_rb_power: np.ndarray  # (K,) mW, 0 on unassigned RBs
     ue_power: np.ndarray  # (N,) mW, the power each UE's RBs would carry
 
-
-@dataclass(frozen=True)
-class MdpState:
-    """Observation: normalized QoS stats plus the previous action."""
-
-    q_avg: float
-    q_min: float
-    q_max: float
-    prev_rb: np.ndarray  # (N,) requested counts / K
-    prev_power: np.ndarray  # (N,) powers mapped back to [-1, 1]
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [[self.q_avg, self.q_min, self.q_max], self.prev_rb, self.prev_power]
-        )
+    @property
+    def rb_indicator(self) -> np.ndarray:
+        """(N, K) bool mask, True where UE u owns RB k (derived, not stored)."""
+        return self.rb_owner == np.arange(len(self.rb_requested))[:, None]
 
 
 def observation_dim(num_ues: int) -> int:
@@ -85,17 +78,17 @@ def decode_action(
     if idle_mask is not None:
         requested = np.where(idle_mask, 0, requested)
 
-    e = np.zeros((n, k), dtype=np.int8)
+    rb_owner = np.full(k, -1)
     per_rb_power = np.zeros(k)
     next_free = 0
     for u in range(n):
         take = min(requested[u], k - next_free)
         if take > 0:
-            e[u, next_free : next_free + take] = 1
+            rb_owner[next_free : next_free + take] = u
             per_rb_power[next_free : next_free + take] = ue_power[u]
             next_free += take
     return AllocationAction(
-        rb_indicator=e,
+        rb_owner=rb_owner,
         rb_requested=requested,
         per_rb_power=per_rb_power,
         ue_power=ue_power,
@@ -110,46 +103,52 @@ def compute_penalties(alloc: AllocationAction, config: CellConfig):
     return p_c, k_r
 
 
-def compute_reward(
-    report: RateReport, alloc: AllocationAction, task: TaskSpec
-) -> float:
+QOS_KEYS = ("q_avg", "q_min", "q_max")  # the order of qos_stats' vector
+
+
+def qos_stats(report: RateReport, task: TaskSpec) -> np.ndarray:
+    """(q_avg, q_min, q_max) of the active UEs' rates in bits/s.
+
+    With every UE idle the demand is trivially met, so all three read c_max.
+    """
+    rates = report.per_ue_rate[report.active]
+    if rates.size == 0:
+        return np.full(3, task.demand_max)
+    return np.array([rates.mean(), rates.min(), rates.max()])
+
+
+def qos_info(qos: np.ndarray) -> dict:
+    """qos_stats' vector as named floats, for a step's info dict."""
+    return dict(zip(QOS_KEYS, map(float, qos)))
+
+
+def compute_reward(qos: np.ndarray, alloc: AllocationAction, task: TaskSpec) -> float:
     """sigmoid(normalized min QoS) minus sigmoid of each penalty; in (-2, 1).
 
-    With every UE idle the demand is trivially met, so Q_m is taken as c_max.
+    qos is qos_stats(...) for the step; Q_m is its minimum.
     """
-    cfg = task.cell_config
-    q_m = report.min_rate if report.active.any() else task.demand_max
-    q_norm = (q_m - task.demand_min) / (task.demand_max - task.demand_min)
-    p_c, k_r = compute_penalties(alloc, cfg)
+    q_norm = (qos[1] - task.demand_min) / (task.demand_max - task.demand_min)
+    p_c, k_r = compute_penalties(alloc, task.cell_config)
     return float(sigmoid(q_norm) - sigmoid(p_c) - sigmoid(k_r))
 
 
-def encode_state(
-    report: RateReport, prev: AllocationAction, task: TaskSpec
-) -> MdpState:
-    """Build the observation from the latest rates and the previous action."""
+def encode_state(qos: np.ndarray, prev: AllocationAction, task: TaskSpec) -> np.ndarray:
+    """Observation vector [q_avg, q_min, q_max] / c_max, previous requested
+    counts / K, previous powers mapped back to [-1, 1]; length 3 + 2N."""
     cfg = task.cell_config
-    if report.active.any():
-        rates = report.per_ue_rate[report.active]
-        q_avg, q_min, q_max = rates.mean(), rates.min(), rates.max()
-    else:
-        q_avg = q_min = q_max = task.demand_max
-    c_x = task.demand_max
     span = cfg.p_max - cfg.p_min
-    return MdpState(
-        q_avg=float(q_avg / c_x),
-        q_min=float(q_min / c_x),
-        q_max=float(q_max / c_x),
-        prev_rb=prev.rb_requested / cfg.num_rbs,
-        prev_power=2.0 * (prev.ue_power - cfg.p_min) / span - 1.0,
-    )
+    return np.concatenate([
+        qos / task.demand_max,
+        prev.rb_requested / cfg.num_rbs,
+        2.0 * (prev.ue_power - cfg.p_min) / span - 1.0,
+    ])
 
 
 def zero_allocation(config: CellConfig) -> AllocationAction:
     """The empty allocation (used as the previous action at episode start)."""
     n, k = config.num_ues, config.num_rbs
     return AllocationAction(
-        rb_indicator=np.zeros((n, k), dtype=np.int8),
+        rb_owner=np.full(k, -1),
         rb_requested=np.zeros(n, dtype=int),
         per_rb_power=np.zeros(k),
         ue_power=np.full(n, config.p_min),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mdp, nets
-from .ddpg import BufferNotReady, DdpgAgent, Hyper, run_episode, sample_batch
+from .ddpg import BufferNotReady, DdpgAgent, Hyper, evaluate_policy, run_episode, sample_batch
 from .episode import TaskEnv
 from .errors import ConfigurationError, TrainingDivergence
 from .mdp import TaskSpec
@@ -186,20 +186,9 @@ def inner_adapt(
     trace = []
     for shot in range(1, budget + 1):
         run_episode(agent, env, hyper.horizon, explore=True, train=True)
-        trace.append({"shot": shot, **_greedy_eval(agent, eval_env, hyper, eval_episodes)})
+        evaluation = evaluate_policy(agent, eval_env, eval_episodes, hyper.horizon)
+        trace.append({"shot": shot, **evaluation})
     return agent, trace
-
-
-def _greedy_eval(agent: DdpgAgent, eval_env, hyper: Hyper, episodes: int) -> dict:
-    rets, qoses = [], []
-    for _ in range(episodes):
-        ret, qos = run_episode(
-            agent, eval_env, hyper.horizon, explore=False, train=False
-        )
-        rets.append(ret)
-        qoses.append(qos)
-    mean_qos = {k: float(np.mean([q[k] for q in qoses])) for k in qoses[0]}
-    return {"episode_return": float(np.mean(rets)), **mean_qos}
 
 
 def meta_adapt_new(meta: MetaModel, new_task: TaskSpec, schedule: MetaSchedule,
@@ -277,7 +266,7 @@ def run_baseline(
         for shot, which in enumerate(mtl_schedule(budget), start=1):
             env = new_env if which == "new" else donor_env
             run_episode(agent, env, hyper.horizon, explore=True, train=True)
-            evaluation = _greedy_eval(agent, eval_env, hyper, ADAPT_EVAL_EPISODES)
+            evaluation = evaluate_policy(agent, eval_env, ADAPT_EVAL_EPISODES, hyper.horizon)
             trace.append({"shot": shot, **evaluation})
         return agent, trace
 

@@ -201,7 +201,8 @@ def save_checkpoint(path, header: dict, **arrays) -> None:
             head["adam"][name] = scalars
         else:
             out[name] = value
-    np.savez(path, header=json.dumps(head), **out)
+    with open(path, "wb") as fh:  # a file handle keeps np.savez from adding ".npz"
+        np.savez(fh, header=json.dumps(head), **out)
 
 
 def load_checkpoint(path):

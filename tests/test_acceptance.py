@@ -134,15 +134,13 @@ def test_decoded_allocations_always_feasible():
 # -- 4. reward contract on 10^5 inputs (< 5 s) --------------------------------
 
 
-def _fake_report(cfg, min_rate, active_any):
-    n, k = cfg.num_ues, cfg.num_rbs
-    return cell.RateReport(
+def _fake_qos(task, min_rate, active_any):
+    n = task.cell_config.num_ues
+    report = cell.RateReport(
         per_ue_rate=np.full(n, min_rate),
-        min_rate=min_rate,
-        interference=np.zeros((n, k)),
-        sinr=np.zeros((n, k)),
         active=np.full(n, active_any, dtype=bool),
     )
+    return mdp.qos_stats(report, task)
 
 
 def test_reward_contract():
@@ -157,7 +155,7 @@ def test_reward_contract():
     actives = rng.uniform(size=100_000) < 0.9
     for i in range(100_000):
         r = mdp.compute_reward(
-            _fake_report(cfg, float(min_rates[i]), bool(actives[i])),
+            _fake_qos(task, float(min_rates[i]), bool(actives[i])),
             pool[i % 512],
             task,
         )
@@ -165,16 +163,16 @@ def test_reward_contract():
 
     # Exact anchor: Q_m at the demand floor with zero penalties.
     empty = mdp.zero_allocation(cfg)
-    r0 = mdp.compute_reward(_fake_report(cfg, task.demand_min, True), empty, task)
+    r0 = mdp.compute_reward(_fake_qos(task, task.demand_min, True), empty, task)
     assert r0 == pytest.approx(-0.5, abs=1e-12)
 
     # Monotonicity: more min-rate helps; requesting beyond K hurts.
-    lo = mdp.compute_reward(_fake_report(cfg, 2e6, True), empty, task)
-    hi = mdp.compute_reward(_fake_report(cfg, 9e6, True), empty, task)
+    lo = mdp.compute_reward(_fake_qos(task, 2e6, True), empty, task)
+    hi = mdp.compute_reward(_fake_qos(task, 9e6, True), empty, task)
     assert hi > lo
     modest = decode_action(np.array([0.0, 0.0, -1.0, -1.0, -1.0, -1.0]), cfg)
     greedy = decode_action(np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), cfg)
-    rep = _fake_report(cfg, 5e6, True)
+    rep = _fake_qos(task, 5e6, True)
     assert mdp.compute_reward(rep, greedy, task) < mdp.compute_reward(rep, modest, task)
     assert time.perf_counter() - start < 5.0
 

@@ -6,7 +6,7 @@ import pytest
 from metaran import cell
 from metaran.cell import CellConfig, dbm_to_mw, mw_to_dbm
 from metaran.errors import ConfigurationError, ContractViolation
-from metaran.mdp import decode_action, zero_allocation
+from metaran.mdp import TaskSpec, decode_action, qos_stats, zero_allocation
 
 
 def small_config(**kw):
@@ -195,7 +195,11 @@ def test_zero_occupancy_means_zero_interference():
     assert (ch.neighbor_power == 0).all()
     alloc = decode_action(np.zeros(2 * c.num_ues), c)
     report = cell.compute_rates(alloc, ch, s, c)
-    assert (report.interference == 0).all()
+    # With every neighbor RB idle the rates equal a noise-only oracle.
+    d = np.maximum(np.linalg.norm(s.ue_positions, axis=1), cell.MIN_DISTANCE)
+    snr = alloc.per_rb_power * d[:, None] ** (-c.path_loss_exp) * ch.gain / c.noise_rb_mw
+    expected = c.rb_bandwidth * (alloc.rb_indicator * np.log2(1.0 + snr)).sum(axis=1)
+    assert np.allclose(report.per_ue_rate, expected, rtol=1e-12, atol=0.0)
 
 
 # -- rates -------------------------------------------------------------------
@@ -207,7 +211,9 @@ def test_empty_allocation_gives_zero_rates():
     ch = cell.sample_channel(s, c, np.random.default_rng(0))
     report = cell.compute_rates(zero_allocation(c), ch, s, c)
     assert (report.per_ue_rate == 0).all()
-    assert report.min_rate == 0.0
+    assert report.active.any()
+    task = TaskSpec(demand_min=1e6, demand_max=10e6, cell_config=c)
+    assert qos_stats(report, task)[1] == 0.0  # q_min
 
 
 def test_unit_sinr_gives_bandwidth_rate():
@@ -285,8 +291,9 @@ def test_min_rate_over_active_ues_only():
     ch = cell.sample_channel(s, c, np.random.default_rng(0))
     alloc = decode_action(np.array([-1.0, 0.0, -1.0, -1.0]), c, idle_mask=~s.active_mask)
     report = cell.compute_rates(alloc, ch, s, c)
-    assert report.min_rate == report.per_ue_rate[1]
-    assert report.min_rate > 0
+    q_min = qos_stats(report, TaskSpec(demand_min=1e6, demand_max=10e6, cell_config=c))[1]
+    assert q_min == report.per_ue_rate[1]
+    assert q_min > 0
 
 
 def test_invalid_allocations_rejected():
@@ -297,15 +304,13 @@ def test_invalid_allocations_rejected():
 
     from dataclasses import replace
 
-    bad_binary = replace(good, rb_indicator=np.full((2, 3), 2, dtype=np.int8))
-    double_owner = replace(
-        good, rb_indicator=np.array([[1, 0, 0], [1, 0, 0]], dtype=np.int8)
-    )
-    e = np.array([[1, 0, 0], [0, 0, 0]], dtype=np.int8)
+    owner_too_high = replace(good, rb_owner=np.array([2, -1, -1]))  # only UEs 0, 1
+    owner_too_low = replace(good, rb_owner=np.array([-2, -1, -1]))
+    wrong_shape = replace(good, rb_owner=np.array([[0, -1, -1], [1, -1, -1]]))
     hot_power = replace(
-        good, rb_indicator=e, per_rb_power=np.array([c.p_max * 2, 0.0, 0.0])
+        good, rb_owner=np.array([0, -1, -1]), per_rb_power=np.array([c.p_max * 2, 0.0, 0.0])
     )
     ghost_power = replace(good, per_rb_power=np.array([c.p_min, 0.0, 0.0]))
-    for bad in (bad_binary, double_owner, hot_power, ghost_power):
+    for bad in (owner_too_high, owner_too_low, wrong_shape, hot_power, ghost_power):
         with pytest.raises(ContractViolation):
             cell.compute_rates(bad, ch, s, c)

@@ -1,6 +1,8 @@
-"""Contracts other code relies on: the names the benchmark tracer wraps, and
-the single versioned checkpoint format."""
+"""Contracts other code relies on: the names the benchmark tracer wraps, the
+allocation form its serve gate reads, the config file format, and the single
+versioned checkpoint format."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -10,21 +12,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metaran import ddpg, meta
+from metaran import ddpg, harness, mdp, meta
+from metaran.cell import CellConfig
 from metaran.errors import ConfigurationError
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load_perfbench(name):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_span_resolves_on_the_package():
-    tracer = _load_tracer()
+    tracer = _load_perfbench("tracer")
     assert tracer.SPANS
     for name, _, module_name, path in tracer.SPANS:
         owner = importlib.import_module(f"metaran.{module_name}")
@@ -34,6 +38,50 @@ def test_every_traced_span_resolves_on_the_package():
         assert callable(owner), name
     # The outer-iteration span hooks into meta_train's public callback.
     assert "on_outer_start" in inspect.signature(meta.meta_train).parameters
+
+
+def test_benchmark_owner_vector_reads_the_decoded_owners():
+    owner_vector = _load_perfbench("workloads").owner_vector
+    rng = np.random.default_rng(5)
+    for n, k in ((5, 10), (30, 80)):
+        cfg = CellConfig(num_ues=n, num_rbs=k)
+        for _ in range(50):
+            idle = rng.uniform(size=n) < 0.3
+            alloc = mdp.decode_action(rng.uniform(-1, 1, size=2 * n), cfg, idle_mask=idle)
+            got = owner_vector(alloc, n, k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, alloc.rb_owner.astype(np.int64))
+
+
+# -- config files ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("profile", ["toy", "paper"])
+def test_config_save_load_reproduces_default_profiles(tmp_path, profile):
+    cfg = harness.default_config(profile, out_dir=str(tmp_path))
+    path = tmp_path / "config.json"
+    harness.save_config(path, cfg)
+    assert harness.load_config(path) == cfg
+
+
+def _edited_config(tmp_path, block, key, value):
+    data = dataclasses.asdict(harness.default_config("toy"))
+    data[block][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_config_naming_subcarrier_spacing_is_rejected(tmp_path):
+    path = _edited_config(tmp_path, "cell", "subcarrier_spacing", 15e3)
+    with pytest.raises(ConfigurationError, match="subcarrier_spacing"):
+        harness.load_config(path)
+
+
+@pytest.mark.parametrize("key, value", [("gamma", 1.0), ("buffer_capacity", 101)])
+def test_config_agent_block_is_checked_at_load(tmp_path, key, value):
+    with pytest.raises(ConfigurationError, match="config.agent"):
+        harness.load_config(_edited_config(tmp_path, "agent", key, value))
 
 
 # -- checkpoint versions -----------------------------------------------------

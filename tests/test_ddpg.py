@@ -101,14 +101,32 @@ def test_buffer_len_and_wraparound():
 
 def test_partitions_are_disjoint_and_cover():
     buf = ReplayBuffer(16, 2, 1)
-    for i in range(10):
+    for i in range(11):  # reward i sits in slot i
         buf.add(Transition(np.zeros(2), np.zeros(1), float(i), np.zeros(2)))
-    sup = set(buf.partition_indices("support"))
-    qry = set(buf.partition_indices("query"))
-    assert sup.isdisjoint(qry)
-    assert sup | qry == set(range(10))
+    rng = np.random.default_rng(0)
+    sup, qry = set(), set()
+    for _ in range(20):
+        sup |= set(sample_batch(buf, 5, "support", rng).rewards.astype(int))
+        qry |= set(sample_batch(buf, 5, "query", rng).rewards.astype(int))
+    assert sup == set(range(0, 11, 2))  # support draws the even slots
+    assert qry == set(range(1, 11, 2))  # query draws the odd slots
     with pytest.raises(ContractViolation):
-        buf.partition_indices("extra")
+        sample_batch(buf, 5, "extra", rng)
+
+
+@pytest.mark.parametrize("size", [256, 257, 599, 20_000])
+@pytest.mark.parametrize("partition, parity", [("support", 0), ("query", 1)])
+def test_sample_batch_draws_like_a_choice_over_the_partition(size, partition, parity):
+    # The draw must keep the RNG stream of rng.choice(pool, b, replace=False)
+    # over the explicit pool of slots with that parity.
+    buf = ReplayBuffer(20_000, 1, 1)
+    buf.insert_count = size
+    buf.rewards[:] = np.arange(20_000)
+    rng, ref = np.random.default_rng(size), np.random.default_rng(size)
+    got = sample_batch(buf, 128, partition, rng).rewards.astype(int)
+    pool = np.arange(size)[np.arange(size) % 2 == parity]
+    assert np.array_equal(got, ref.choice(pool, size=128, replace=False))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_batch_requires_twice_batch_size():
@@ -306,7 +324,8 @@ def test_evaluate_policy_constant_reward():
     agent = make_agent(gamma=0.99)
     env = ConstantRewardEnv(3)
     got = evaluate_policy(agent, env, episodes=4, horizon=3)
-    assert np.isclose(got, 2.9701)
+    assert np.isclose(got["episode_return"], 2.9701)
+    assert (got["q_avg"], got["q_min"], got["q_max"]) == (2.0, 1.0, 3.0)
     with pytest.raises(ContractViolation):
         evaluate_policy(agent, env, episodes=0, horizon=3)
 
@@ -344,3 +363,11 @@ def test_save_load_agent_round_trip(tmp_path):
     s = np.zeros(3)
     a = back.select_action(s, explore=False)
     assert np.array_equal(a, agent.select_action(s, explore=False))
+
+
+def test_save_load_agent_path_without_suffix(tmp_path):
+    agent = make_agent()
+    path = tmp_path / "agent"
+    save_agent(path, agent)
+    assert [p.name for p in tmp_path.iterdir()] == ["agent"]  # no ".npz" added
+    assert np.array_equal(load_agent(path).actor_vector(), agent.actor_vector())

@@ -8,8 +8,8 @@ import pytest
 
 from metaran.cell import dbm_to_mw
 from metaran.errors import ConfigurationError
+from metaran.ddpg import Hyper
 from metaran.harness import (
-    AgentBlock,
     CellBlock,
     ExperimentConfig,
     MetricsLog,
@@ -33,7 +33,7 @@ def small_config(out_dir, **kw):
         tasks=(TaskBlock(num_rbs=4, demand_min=1e5, demand_max=1e6),),
         new_task=TaskBlock(num_rbs=4, demand_min=2e5, demand_max=1e6),
         schedule=ScheduleBlock(outer_iters=10, eval_episodes=1),
-        agent=AgentBlock(
+        agent=Hyper(
             gamma=0.9, lr=1e-3, batch_size=8, buffer_capacity=256,
             horizon=6, hidden_sizes=(8,),
         ),

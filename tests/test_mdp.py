@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metaran.cell import CellConfig, dbm_to_mw
 from metaran.errors import ConfigurationError, ContractViolation
@@ -13,6 +14,8 @@ from metaran.mdp import (
     decode_action,
     encode_state,
     observation_dim,
+    qos_info,
+    qos_stats,
     sigmoid,
     zero_allocation,
 )
@@ -114,6 +117,36 @@ def test_decode_feasibility_invariants_random():
         assert (a.per_rb_power[~assigned] == 0).all()
 
 
+@st.composite
+def _decode_inputs(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 16))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    raw = np.array(draw(st.lists(unit, min_size=2 * n, max_size=2 * n)))
+    idle = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return CellConfig(num_ues=n, num_rbs=k), raw, idle
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_decode_inputs())
+def test_decode_owner_vector_properties(inputs):
+    cfg, raw, idle = inputs
+    n, k = cfg.num_ues, cfg.num_rbs
+    a = decode_action(raw, cfg, idle_mask=idle)
+    owner = a.rb_owner
+    assert owner.shape == (k,)
+    assert ((owner >= -1) & (owner < n)).all()
+    assert not np.isin(owner, np.flatnonzero(idle)).any()  # idle UEs own nothing
+    assigned = int((owner >= 0).sum())
+    assert assigned == min(int(a.rb_requested.sum()), k)
+    assert (owner[:assigned] >= 0).all() and (owner[assigned:] == -1).all()
+    assert (np.diff(owner[:assigned]) >= 0).all()  # first fit, ascending UE order
+    snap = cell.reset(cfg, seed=0)
+    ch = cell.sample_channel(snap, cfg, np.random.default_rng(0))
+    report = cell.compute_rates(a, ch, snap, cfg)  # every decode is accepted
+    assert report.per_ue_rate.shape == (n,)
+
+
 # -- penalties ---------------------------------------------------------------
 
 
@@ -144,29 +177,27 @@ def test_empty_allocation_has_zero_penalties():
 # -- reward ------------------------------------------------------------------
 
 
-def _report(cfg, rates, active):
-    return cell.RateReport(
+def _qos(task, rates, active):
+    report = cell.RateReport(
         per_ue_rate=np.asarray(rates, dtype=float),
-        min_rate=float(np.asarray(rates)[np.asarray(active)].min()) if any(active) else 0.0,
-        interference=np.zeros((cfg.num_ues, cfg.num_rbs)),
-        sinr=np.zeros((cfg.num_ues, cfg.num_rbs)),
         active=np.asarray(active, dtype=bool),
     )
+    return qos_stats(report, task)
 
 
 def test_reward_at_demand_floor_is_minus_half():
     # Q_m = c_min with zero penalties: sigmoid(0) - sigmoid(0) - sigmoid(0).
     task = make_task(num_ues=1, num_rbs=8)
     cfg = task.cell_config
-    report = _report(cfg, [task.demand_min], [True])
-    assert compute_reward(report, zero_allocation(cfg), task) == pytest.approx(-0.5, abs=1e-12)
+    qos = _qos(task, [task.demand_min], [True])
+    assert compute_reward(qos, zero_allocation(cfg), task) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_reward_all_idle_uses_demand_ceiling():
     task = make_task(num_ues=2, num_rbs=8)
     cfg = task.cell_config
-    report = _report(cfg, [0.0, 0.0], [False, False])
-    got = compute_reward(report, zero_allocation(cfg), task)
+    qos = _qos(task, [0.0, 0.0], [False, False])
+    got = compute_reward(qos, zero_allocation(cfg), task)
     assert got == pytest.approx(sigmoid(1.0) - 1.0)
 
 
@@ -174,18 +205,18 @@ def test_reward_monotone_in_min_rate():
     task = make_task(num_ues=1, num_rbs=8)
     cfg = task.cell_config
     alloc = zero_allocation(cfg)
-    lo = compute_reward(_report(cfg, [2e6], [True]), alloc, task)
-    hi = compute_reward(_report(cfg, [8e6], [True]), alloc, task)
+    lo = compute_reward(_qos(task, [2e6], [True]), alloc, task)
+    hi = compute_reward(_qos(task, [8e6], [True]), alloc, task)
     assert hi > lo
 
 
 def test_reward_decreases_with_requested_excess():
     task = make_task(num_ues=2, num_rbs=10)
     cfg = task.cell_config
-    report = _report(cfg, [5e6, 5e6], [True, True])
+    qos = _qos(task, [5e6, 5e6], [True, True])
     modest = decode_action(np.array([0.0, 0.0, -1.0, -1.0]), cfg)  # 5 + 5 = K
     greedy = decode_action(np.array([1.0, 1.0, -1.0, -1.0]), cfg)  # 10 + 10 > K
-    assert compute_reward(report, greedy, task) < compute_reward(report, modest, task)
+    assert compute_reward(qos, greedy, task) < compute_reward(qos, modest, task)
 
 
 def test_reward_range_random_inputs():
@@ -196,7 +227,7 @@ def test_reward_range_random_inputs():
         alloc = decode_action(rng.uniform(-1, 1, size=6), cfg)
         rates = rng.uniform(0, 3 * task.demand_max, size=3)
         active = rng.uniform(size=3) < 0.8
-        r = compute_reward(_report(cfg, rates, active), alloc, task)
+        r = compute_reward(_qos(task, rates, active), alloc, task)
         assert -2.0 < r < 1.0
 
 
@@ -206,38 +237,46 @@ def test_reward_range_random_inputs():
 def test_encode_state_normalizes_rates_by_demand_ceiling():
     task = make_task(num_ues=3, num_rbs=12, demand_max=10e6)
     cfg = task.cell_config
-    report = _report(cfg, [1e6, 2e6, 3e6], [True, True, True])
-    st = encode_state(report, zero_allocation(cfg), task)
-    assert st.q_avg == pytest.approx(0.2)
-    assert st.q_min == pytest.approx(0.1)
-    assert st.q_max == pytest.approx(0.3)
+    qos = _qos(task, [1e6, 2e6, 3e6], [True, True, True])
+    obs = encode_state(qos, zero_allocation(cfg), task)
+    assert obs[0] == pytest.approx(0.2)  # q_avg
+    assert obs[1] == pytest.approx(0.1)  # q_min
+    assert obs[2] == pytest.approx(0.3)  # q_max
 
 
 def test_encode_state_previous_action_channels():
     task = make_task(num_ues=2, num_rbs=10)
     cfg = task.cell_config
     prev = decode_action(np.array([0.0, 1.0, -1.0, 1.0]), cfg)
-    report = _report(cfg, [1e6, 1e6], [True, True])
-    st = encode_state(report, prev, task)
-    assert np.allclose(st.prev_rb, [0.5, 1.0])
-    assert np.allclose(st.prev_power, [-1.0, 1.0])
+    qos = _qos(task, [1e6, 1e6], [True, True])
+    obs = encode_state(qos, prev, task)
+    assert np.allclose(obs[3:5], [0.5, 1.0])  # requested counts / K
+    assert np.allclose(obs[5:7], [-1.0, 1.0])  # powers mapped to [-1, 1]
 
 
 def test_encode_state_all_idle_reports_ceiling():
     task = make_task(num_ues=2, num_rbs=10)
     cfg = task.cell_config
-    report = _report(cfg, [0.0, 0.0], [False, False])
-    st = encode_state(report, zero_allocation(cfg), task)
-    assert st.q_avg == st.q_min == st.q_max == 1.0
+    qos = _qos(task, [0.0, 0.0], [False, False])
+    obs = encode_state(qos, zero_allocation(cfg), task)
+    assert obs[0] == obs[1] == obs[2] == 1.0
 
 
 def test_state_vector_layout():
-    task = make_task(num_ues=2, num_rbs=10)
+    task = make_task(num_ues=2, num_rbs=10, demand_max=10e6)
     cfg = task.cell_config
-    report = _report(cfg, [1e6, 2e6], [True, True])
-    st = encode_state(report, zero_allocation(cfg), task)
-    vec = st.as_vector()
+    qos = _qos(task, [1e6, 2e6], [True, True])
+    vec = encode_state(qos, zero_allocation(cfg), task)
     assert vec.shape == (observation_dim(2),)
-    assert np.allclose(vec[:3], [st.q_avg, st.q_min, st.q_max])
-    assert np.allclose(vec[3:5], st.prev_rb)
-    assert np.allclose(vec[5:7], st.prev_power)
+    assert np.allclose(vec[:3], [0.15, 0.1, 0.2])  # q_avg, q_min, q_max
+    assert np.allclose(vec[3:5], 0.0)  # previous requested counts / K
+    assert np.allclose(vec[5:7], -1.0)  # previous powers at p_min
+
+
+def test_qos_info_names_the_stats():
+    task = make_task(num_ues=3, num_rbs=10)
+    qos = _qos(task, [1e6, 2e6, 9e6], [True, True, False])
+    info = qos_info(qos)
+    assert list(info) == ["q_avg", "q_min", "q_max"]
+    assert info == {"q_avg": 1.5e6, "q_min": 1e6, "q_max": 2e6}
+    assert all(type(v) is float for v in info.values())

@@ -277,3 +277,11 @@ def test_save_load_meta_model_round_trip(tmp_path):
     assert back.actor_opt.step_count == 1
     assert back.actor_opt.lr == 2e-4 and back.critic_opt.lr == 3e-3
     assert np.array_equal(back.critic_opt.m, m.critic_opt.m)
+
+
+def test_save_load_meta_model_path_without_suffix(tmp_path):
+    m = init_meta_model(5, 2, tiny_hyper(), seed=8)
+    path = tmp_path / "ckpt"
+    save_meta_model(path, m)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]  # no ".npz" added
+    assert np.array_equal(load_meta_model(path).actor_vec, m.actor_vec)
