@@ -37,10 +37,17 @@ class Hyper:
     # Extra transitions collected before the first update (0 means updates
     # start as soon as the buffer can serve disjoint support/query batches).
     warmup_transitions: int = 0
+    # dtype of the networks, optimizers, replay buffer and meta model:
+    # "float64" (the reference) or "float32".
+    dtype: str = "float64"
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise ConfigurationError("gamma must be in (0, 1)")
+        if self.dtype not in nets.DTYPES:
+            raise ConfigurationError(
+                f"dtype must be one of {nets.DTYPES}, got {self.dtype!r}"
+            )
         if self.buffer_capacity % 2 != 0:
             raise ConfigurationError("buffer_capacity must be even")
 
@@ -54,14 +61,14 @@ class ReplayBuffer:
     partition (even inserts) and a query partition (odd inserts) so the two
     never overlap within one update."""
 
-    def __init__(self, capacity: int, obs_dim: int, act_dim: int):
+    def __init__(self, capacity: int, obs_dim: int, act_dim: int, dtype: str = "float64"):
         if capacity <= 0 or capacity % 2 != 0:
             raise ConfigurationError("capacity must be positive and even")
         self.capacity = capacity
-        self.states = np.zeros((capacity, obs_dim))
-        self.actions = np.zeros((capacity, act_dim))
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, obs_dim))
+        self.states = np.zeros((capacity, obs_dim), dtype=dtype)
+        self.actions = np.zeros((capacity, act_dim), dtype=dtype)
+        self.rewards = np.zeros(capacity, dtype=dtype)
+        self.next_states = np.zeros((capacity, obs_dim), dtype=dtype)
         self.insert_count = 0
 
     def __len__(self):
@@ -118,16 +125,16 @@ class DdpgAgent:
         actor_sizes = (obs_dim, *hyper.hidden_sizes, act_dim)
         critic_sizes = (obs_dim + act_dim, *hyper.hidden_sizes, 1)
         self.actor = nets.init_network(
-            actor_sizes, seed=int(rng.integers(2**31)), output_activation="tanh"
+            actor_sizes, int(rng.integers(2**31)), "tanh", hyper.dtype
         )
         self.critic = nets.init_network(
-            critic_sizes, seed=int(rng.integers(2**31)), output_activation="identity"
+            critic_sizes, int(rng.integers(2**31)), "identity", hyper.dtype
         )
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
         self.actor_opt = nets.init_adam(self.actor.flat, lr=hyper.effective_actor_lr)
         self.critic_opt = nets.init_adam(self.critic.flat, lr=hyper.lr)
-        self.buffer = ReplayBuffer(hyper.buffer_capacity, obs_dim, act_dim)
+        self.buffer = ReplayBuffer(hyper.buffer_capacity, obs_dim, act_dim, hyper.dtype)
         self.noise_std = hyper.noise_std
 
     # -- parameter exchange ------------------------------------------------
@@ -139,7 +146,8 @@ class DdpgAgent:
         return nets.params_as_vector(self.critic)
 
     def load_vectors(self, actor_vec: np.ndarray, critic_vec: np.ndarray) -> None:
-        """Set online and target networks from flat vectors; fresh optimizers."""
+        """Set online and target networks from flat vectors, cast to the
+        agent's dtype; fresh optimizers."""
         nets.set_params_from_vector(self.actor, actor_vec)
         nets.set_params_from_vector(self.critic, critic_vec)
         self.target_actor = self.actor.copy()
@@ -150,13 +158,15 @@ class DdpgAgent:
     # -- acting ------------------------------------------------------------
 
     def select_action(self, state: np.ndarray, explore: bool, rng=None) -> np.ndarray:
+        """Actor output plus float64 Gaussian noise when exploring, clipped to
+        [-1, 1], in the agent's dtype."""
         if len(state) != self.obs_dim:
             raise ContractViolation("state dimension does not match the actor")
         action, _ = nets.forward(self.actor, state)
         if explore and self.noise_std > 0:
             r = rng if rng is not None else self.rng
-            action = action + r.normal(0.0, self.noise_std, size=self.act_dim)
-        return np.clip(action, -1.0, 1.0)
+            action += r.normal(0.0, self.noise_std, size=self.act_dim)
+        return np.clip(action, -1.0, 1.0, out=action)
 
     def decay_noise(self) -> None:
         self.noise_std = max(
@@ -179,7 +189,7 @@ class DdpgAgent:
         )
         td = q[:, 0] - y
         loss = float(np.mean(td**2))
-        grads, _ = nets.backward(self.critic, tape, (2.0 * td / b)[:, None])
+        grads, _ = nets.backward(self.critic, tape, (2.0 * td / b)[:, None], wrt="params")
         return loss, grads
 
     def actor_gradients(self, batch: Batch):
@@ -189,9 +199,10 @@ class DdpgAgent:
         q, tape_q = nets.forward(
             self.critic, np.concatenate([batch.states, mu], axis=1)
         )
-        _, in_grad = nets.backward(self.critic, tape_q, np.full((b, 1), 1.0 / b))
+        dq = np.full((b, 1), 1.0 / b, dtype=self.critic.flat.dtype)
+        _, in_grad = nets.backward(self.critic, tape_q, dq, wrt="input")
         dq_da = in_grad[:, self.obs_dim :]
-        grads, _ = nets.backward(self.actor, tape_a, -dq_da)
+        grads, _ = nets.backward(self.actor, tape_a, -dq_da, wrt="params")
         return float(-np.mean(q)), grads
 
     def train_step(self, batch: Batch):

@@ -184,8 +184,8 @@ def save_config(path, config: ExperimentConfig) -> None:
 def default_config(profile: str = "paper", out_dir: str = "results") -> ExperimentConfig:
     """Built-in profiles.
 
-    paper: evaluation-scale settings (expensive to train on a desktop).
-    toy:   small cells and networks for quick, fully reproducible runs.
+    paper: evaluation-scale settings (expensive to train on a desktop), float32.
+    toy:   small cells and networks for quick, fully reproducible runs, float64.
     """
     if profile == "paper":
         c_x = 10e6
@@ -199,7 +199,9 @@ def default_config(profile: str = "paper", out_dir: str = "results") -> Experime
             ),
             new_task=TaskBlock(num_rbs=80, demand_min=2e6, demand_max=c_x),
             schedule=ScheduleBlock(outer_iters=100, eval_episodes=10),
-            agent=Hyper(),
+            # Single precision halves the paper-size learner's time and memory;
+            # the toy profile stays float64, the reference the oracles use.
+            agent=Hyper(dtype="float32"),
             seeds=(0, 1, 2),
             out_dir=out_dir,
             donor_budget=1000,

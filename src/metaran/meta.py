@@ -66,8 +66,8 @@ def init_meta_model(
     actor_sizes = (obs_dim, *hyper.hidden_sizes, act_dim)
     critic_sizes = (obs_dim + act_dim, *hyper.hidden_sizes, 1)
     rng = np.random.default_rng(seed)
-    actor = nets.init_network(actor_sizes, int(rng.integers(2**31)), "tanh")
-    critic = nets.init_network(critic_sizes, int(rng.integers(2**31)), "identity")
+    actor = nets.init_network(actor_sizes, int(rng.integers(2**31)), "tanh", hyper.dtype)
+    critic = nets.init_network(critic_sizes, int(rng.integers(2**31)), "identity", hyper.dtype)
     return MetaModel(
         actor_vec=nets.params_as_vector(actor),
         critic_vec=nets.params_as_vector(critic),

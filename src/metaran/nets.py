@@ -1,12 +1,18 @@
 """Minimal dense-network substrate: forward, backprop, Adam, soft updates.
 
 Networks are tanh MLPs with either a tanh head (actor) or identity head
-(critic). All parameters of a network live in one contiguous float64 vector,
-`flat`, laid out layer by layer as [W1 (row-major), b1, W2, b2, ...].
+(critic). All parameters of a network live in one contiguous vector, `flat`,
+laid out layer by layer as [W1 (row-major), b1, W2, b2, ...].
 `weights[i]`, `biases[i]` and `parameters()` are views into `flat`, so
 writing through any of them changes the network and vice versa. Gradients,
 Adam moments and checkpoints use the same flat layout, so Adam and soft
-updates are single passes over one array. Everything is double precision.
+updates are single passes over one array, made block by block through a
+small scratch buffer so they allocate nothing the size of the network.
+
+A network's dtype is the dtype of `flat`: float64 (the default, and the
+reference every oracle test runs in) or float32. forward, backward and
+set_params_from_vector compute in, and return, the network's dtype; Adam
+moments take the dtype of the parameters they follow.
 """
 
 import json
@@ -15,6 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
+
+# Elements per block of the Adam and soft-update passes: a block's scratch and
+# its slices of the parameter, gradient and moment arrays stay in L2 cache.
+KERNEL_BLOCK = 32_768
+# Network dtypes: float64 is the reference, float32 the fast opt-in.
+DTYPES = ("float64", "float32")
 
 # Format of every npz checkpoint (agents, meta models). load_checkpoint
 # rejects any other version, and files without a header, as unreadable.
@@ -54,8 +66,14 @@ class DenseNetwork:
         return DenseNetwork(self.layer_sizes, self.flat.copy(), self.output_activation)
 
 
-def init_network(layer_sizes, seed: int, output_activation: str = "tanh") -> DenseNetwork:
-    """Uniform +-1/sqrt(fan_in) weights, zero biases; deterministic per seed."""
+def init_network(
+    layer_sizes, seed: int, output_activation: str = "tanh", dtype: str = "float64"
+) -> DenseNetwork:
+    """Uniform +-1/sqrt(fan_in) weights, zero biases; deterministic per seed.
+
+    The weights are drawn in float64 from the same stream for every dtype and
+    then cast, so a float32 network is the rounded float64 one.
+    """
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
         raise ConfigurationError("need at least an input and an output layer")
@@ -63,13 +81,14 @@ def init_network(layer_sizes, seed: int, output_activation: str = "tanh") -> Den
         raise ConfigurationError("layer sizes must be positive")
     if output_activation not in ("tanh", "identity"):
         raise ConfigurationError(f"unknown output activation {output_activation!r}")
+    if dtype not in DTYPES:
+        raise ConfigurationError(f"dtype must be one of {DTYPES}, got {dtype!r}")
     rng = np.random.default_rng(seed)
     flat = np.zeros(sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:])))
-    net = DenseNetwork(sizes, flat, output_activation)
-    for w in net.weights:
+    for w in _layer_views(sizes, flat)[0]:
         bound = 1.0 / np.sqrt(w.shape[0])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
-    return net
+    return DenseNetwork(sizes, flat.astype(dtype, copy=False), output_activation)
 
 
 def forward(net: DenseNetwork, x: np.ndarray):
@@ -77,7 +96,7 @@ def forward(net: DenseNetwork, x: np.ndarray):
 
     The tape keeps the input and every layer's post-activation output.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=net.flat.dtype)
     single = x.ndim == 1
     if single:
         x = x[None, :]
@@ -97,28 +116,42 @@ def forward(net: DenseNetwork, x: np.ndarray):
     return (h[0] if single else h), tape
 
 
-def backward(net: DenseNetwork, tape, output_grad: np.ndarray):
+def backward(net: DenseNetwork, tape, output_grad: np.ndarray, wrt: str = "both"):
     """Reverse-mode gradients.
 
     output_grad is dL/d(output) with the same shape forward produced.
     Returns (param_grad, a fresh vector in the flat layout; input_grad).
+    wrt names what the caller reads: "params" leaves input_grad None and
+    skips the first layer's input product; "input" leaves param_grad None
+    and skips every weight and bias product. Each computed gradient is
+    bitwise the one wrt="both" returns.
     """
-    g = np.asarray(output_grad, dtype=float)
+    if wrt not in ("both", "params", "input"):
+        raise ContractViolation(f"unknown gradient target {wrt!r}")
+    g = np.asarray(output_grad, dtype=net.flat.dtype)
     if tape["single"]:
         g = g[None, :]
     acts = tape["acts"]
     last = len(net.weights) - 1
     if g.shape != acts[-1].shape:
         raise ContractViolation("output_grad shape does not match the forward pass")
-    grad = np.empty(net.flat.size)
-    grad_w, grad_b = _layer_views(net.layer_sizes, grad)
+    grad = input_grad = None
+    if wrt != "input":
+        grad = np.empty_like(net.flat)
+        grad_w, grad_b = _layer_views(net.layer_sizes, grad)
     for i in range(last, -1, -1):
         if i < last or net.output_activation == "tanh":
-            g = g * (1.0 - acts[i + 1] ** 2)  # tanh' from the tanh output
-        np.matmul(acts[i].T, g, out=grad_w[i])
-        np.sum(g, axis=0, out=grad_b[i])
-        g = g @ net.weights[i].T
-    input_grad = g[0] if tape["single"] else g
+            d = np.square(acts[i + 1])  # tanh' = 1 - tanh^2, from the tanh output
+            np.subtract(1.0, d, out=d)
+            d *= g
+            g = d
+        if grad is not None:
+            np.matmul(acts[i].T, g, out=grad_w[i])
+            np.sum(g, axis=0, out=grad_b[i])
+        if i > 0 or wrt != "params":
+            g = g @ net.weights[i].T
+    if wrt != "params":
+        input_grad = g[0] if tape["single"] else g
     return grad, input_grad
 
 
@@ -138,35 +171,56 @@ def init_adam(params: np.ndarray, **settings) -> AdamState:
     return AdamState(np.zeros_like(params), np.zeros_like(params), **settings)
 
 
+def _blocks(n: int):
+    """(lo, hi) bounds of the KERNEL_BLOCK-sized blocks of range(n)."""
+    return ((lo, min(lo + KERNEL_BLOCK, n)) for lo in range(0, n, KERNEL_BLOCK))
+
+
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
-    """Bias-corrected Adam update of one parameter array, in place; returns it."""
-    if params.shape != grads.shape or params.shape != state.m.shape:
+    """Bias-corrected Adam update of one parameter vector, in place; returns it.
+
+    params -= lr * (m / c1) / (sqrt(v / c2) + epsilon), with c_i = 1 - beta_i^t,
+    made block by block through two block-sized scratch rows.
+    """
+    if params.ndim != 1 or params.shape != grads.shape or params.shape != state.m.shape:
         raise ContractViolation("parameter/gradient/moment shape mismatch")
+    if not params.dtype == grads.dtype == state.m.dtype == state.v.dtype:
+        raise ContractViolation("parameter/gradient/moment dtype mismatch")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    m, v = state.m, state.v
-    m *= b1
-    m += (1.0 - b1) * grads
-    v *= b2
-    v += (1.0 - b2) * grads * grads
-    # params -= lr * m_hat / (sqrt(v_hat) + epsilon), with two temporaries.
-    denom = v / (1.0 - b2**t)
-    np.sqrt(denom, out=denom)
-    denom += state.epsilon
-    step = m / (1.0 - b1**t)
-    step *= state.lr
-    step /= denom
-    params -= step
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    scratch = np.empty((2, min(KERNEL_BLOCK, params.size)), dtype=params.dtype)
+    for lo, hi in _blocks(params.size):
+        g, m, v = grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        step, denom = scratch[0, : hi - lo], scratch[1, : hi - lo]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=step)
+        m += step
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
+        v += step
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        np.divide(m, c1, out=step)
+        step *= state.lr
+        step /= denom
+        params[lo:hi] -= step
     return params
 
 
 def soft_update(target: np.ndarray, source: np.ndarray, tau: float) -> np.ndarray:
-    """target <- (1 - tau) * target + tau * source, in place."""
-    if target.shape != source.shape:
+    """target <- (1 - tau) * target + tau * source, in place, block by block."""
+    if target.ndim != 1 or target.shape != source.shape:
         raise ContractViolation("target/source shape mismatch")
-    target *= 1.0 - tau
-    target += tau * source
+    scratch = np.empty(min(KERNEL_BLOCK, target.size), dtype=target.dtype)
+    for lo, hi in _blocks(target.size):
+        t, part = target[lo:hi], scratch[: hi - lo]
+        t *= 1.0 - tau
+        np.multiply(source[lo:hi], tau, out=part)
+        t += part
     return target
 
 
@@ -175,7 +229,8 @@ def params_as_vector(net: DenseNetwork) -> np.ndarray:
 
 
 def set_params_from_vector(net: DenseNetwork, vec: np.ndarray) -> None:
-    vec = np.asarray(vec, dtype=float)
+    """Copy vec into the network, cast to the network's dtype."""
+    vec = np.asarray(vec, dtype=net.flat.dtype)
     if vec.shape != net.flat.shape:
         raise ContractViolation(
             f"vector shape {vec.shape} != parameter shape {net.flat.shape}"

@@ -1,7 +1,10 @@
 """Tests for the single-cell world model: geometry, dynamics, channel, rates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metaran import cell
 from metaran.cell import CellConfig, dbm_to_mw, mw_to_dbm
@@ -214,6 +217,48 @@ def test_empty_allocation_gives_zero_rates():
     assert report.active.any()
     task = TaskSpec(demand_min=1e6, demand_max=10e6, cell_config=c)
     assert qos_stats(report, task)[1] == 0.0  # q_min
+
+
+@st.composite
+def _rate_inputs(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 16))
+    p_min = draw(st.floats(1e-6, 1e6))
+    cfg = CellConfig(
+        num_ues=n,
+        num_rbs=k,
+        rb_bandwidth=draw(st.floats(1.0, 1e9)),
+        p_min=p_min,
+        p_max=p_min * draw(st.floats(1.0, 1e6)),
+        path_loss_exp=draw(st.floats(0.5, 8.0)),
+        noise_psd=draw(st.floats(-250.0, -100.0)),
+        cell_radius=draw(st.floats(1.0, 1e5)),
+        num_neighbors=draw(st.integers(0, 4)),
+        neighbor_occupancy=draw(st.floats(0.0, 1.0)),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    # 0 puts every UE on the RU (the minimum distance applies), large values
+    # far outside the cell.
+    spread = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+    unit = st.floats(-1.0, 1.0)
+    raw = np.array(draw(st.lists(unit, min_size=2 * n, max_size=2 * n)))
+    return cfg, seed, spread, raw
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_rate_inputs())
+def test_rates_finite_nonnegative_and_zero_without_rbs(inputs):
+    cfg, seed, spread, raw = inputs
+    rng = np.random.default_rng(seed)
+    snap = cell.reset(cfg, rng)
+    snap = dataclasses.replace(snap, ue_positions=snap.ue_positions * spread)
+    ch = cell.sample_channel(snap, cfg, rng)
+    alloc = decode_action(raw, cfg, idle_mask=~snap.active_mask)
+    rates = cell.compute_rates(alloc, ch, snap, cfg).per_ue_rate
+    assert rates.shape == (cfg.num_ues,)
+    assert np.isfinite(rates).all() and (rates >= 0).all()
+    unowned = ~np.isin(np.arange(cfg.num_ues), alloc.rb_owner)
+    assert (rates[unowned] == 0).all()
 
 
 def test_unit_sinr_gives_bandwidth_rate():

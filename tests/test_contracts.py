@@ -78,10 +78,31 @@ def test_config_naming_subcarrier_spacing_is_rejected(tmp_path):
         harness.load_config(path)
 
 
-@pytest.mark.parametrize("key, value", [("gamma", 1.0), ("buffer_capacity", 101)])
+@pytest.mark.parametrize(
+    "key, value", [("gamma", 1.0), ("buffer_capacity", 101), ("dtype", "float16")]
+)
 def test_config_agent_block_is_checked_at_load(tmp_path, key, value):
     with pytest.raises(ConfigurationError, match="config.agent"):
         harness.load_config(_edited_config(tmp_path, "agent", key, value))
+
+
+@pytest.mark.parametrize("dtype", ["float16", "double", "", None])
+def test_hyper_rejects_unknown_dtypes(dtype):
+    with pytest.raises(ConfigurationError, match="dtype"):
+        ddpg.Hyper(dtype=dtype)
+
+
+def test_agent_block_without_dtype_loads_as_float64(tmp_path):
+    data = dataclasses.asdict(harness.default_config("paper"))
+    del data["agent"]["dtype"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert harness.load_config(path).agent.dtype == "float64"
+
+
+def test_only_the_paper_profile_runs_in_float32():
+    assert harness.default_config("paper").agent.dtype == "float32"
+    assert harness.default_config("toy").agent.dtype == "float64"
 
 
 # -- checkpoint versions -----------------------------------------------------

@@ -231,6 +231,32 @@ def test_reward_range_random_inputs():
         assert -2.0 < r < 1.0
 
 
+@st.composite
+def _reward_inputs(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 16))
+    p_min = draw(st.floats(1e-6, 1e6))
+    p_max = p_min * draw(st.floats(1.0, 1e6))
+    demand_min = draw(st.floats(0.0, 1e12))
+    demand_max = demand_min + draw(st.floats(1e-3, 1e12))
+    cfg = CellConfig(num_ues=n, num_rbs=k, p_min=p_min, p_max=p_max)
+    task = TaskSpec(demand_min=demand_min, demand_max=demand_max, cell_config=cfg)
+    finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    raw = np.array(draw(st.lists(finite, min_size=2 * n, max_size=2 * n)))
+    rates = draw(st.lists(st.floats(0.0, 1e15), min_size=n, max_size=n))
+    active = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return task, raw, rates, active
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_reward_inputs())
+def test_reward_in_open_interval_for_extreme_inputs(inputs):
+    task, raw, rates, active = inputs
+    alloc = decode_action(raw, task.cell_config, idle_mask=~np.asarray(active))
+    r = compute_reward(_qos(task, rates, active), alloc, task)
+    assert -2.0 < r < 1.0
+
+
 # -- state encoding ----------------------------------------------------------
 
 

@@ -163,6 +163,31 @@ def test_batch_gradients_sum_over_rows():
         assert np.allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+@pytest.mark.parametrize("batch", [None, 6])
+def test_one_sided_backward_is_bitwise_the_full_backward(activation, batch):
+    rng = np.random.default_rng(8)
+    net = nets.init_network((5, 9, 7, 3), seed=8, output_activation=activation)
+    shape = (3,) if batch is None else (batch, 3)
+    x = rng.normal(size=shape[:-1] + (5,))
+    g = rng.normal(size=shape)
+    _, tape = nets.forward(net, x)
+    full_params, full_input = nets.backward(net, tape, g)
+    params_only, none_input = nets.backward(net, tape, g, wrt="params")
+    none_params, input_only = nets.backward(net, tape, g, wrt="input")
+    assert none_input is None and none_params is None
+    assert np.array_equal(params_only, full_params)
+    assert np.array_equal(input_only, full_input)
+    assert input_only.shape == x.shape
+
+
+def test_backward_rejects_unknown_target():
+    net = nets.init_network((3, 4, 2), seed=7)
+    _, tape = nets.forward(net, np.zeros(3))
+    with pytest.raises(ContractViolation):
+        nets.backward(net, tape, np.zeros(2), wrt="weights")
+
+
 def test_backward_rejects_mismatched_grad_shape():
     net = nets.init_network((3, 4, 2), seed=7)
     _, tape = nets.forward(net, np.zeros(3))
@@ -234,6 +259,72 @@ def test_flat_adam_and_soft_update_equal_per_layer_reference_bitwise():
             tp += 0.05 * p
     assert np.array_equal(np.concatenate([p.ravel() for p in ref]), net.flat)
     assert np.array_equal(np.concatenate([p.ravel() for p in ref_target]), target.flat)
+
+
+def test_blocked_adam_and_soft_update_equal_one_pass_reference_bitwise():
+    # Three full blocks and a partial one: the blocked passes must reproduce
+    # the one-pass formulas bit for bit, step after step.
+    n = 3 * nets.KERNEL_BLOCK + 17
+    rng = np.random.default_rng(11)
+    params, target = rng.normal(size=n), rng.normal(size=n)
+    ref, ref_target = params.copy(), target.copy()
+    m, v = np.zeros(n), np.zeros(n)
+    lr, b1, b2, eps, tau = 3e-4, 0.9, 0.999, 1e-8, 0.005
+    state = nets.init_adam(params, lr=lr)
+    for t in range(1, 6):
+        g = rng.normal(size=n)
+        nets.adam_step(params, g, state)
+        nets.soft_update(target, params, tau)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        denom = v / (1.0 - b2**t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step = m / (1.0 - b1**t)
+        step *= lr
+        step /= denom
+        ref -= step
+        ref_target *= 1.0 - tau
+        ref_target += tau * ref
+        assert np.array_equal(params, ref)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert np.array_equal(target, ref_target)
+
+
+def test_adam_rejects_mixed_dtypes():
+    p = np.zeros(3, dtype=np.float32)
+    state = nets.init_adam(p)
+    with pytest.raises(ContractViolation):
+        nets.adam_step(p, np.zeros(3), state)
+
+
+# -- dtype -------------------------------------------------------------------
+
+
+def test_float32_network_is_the_rounded_float64_network():
+    net64 = nets.init_network((4, 6, 2), seed=3)
+    net32 = nets.init_network((4, 6, 2), seed=3, dtype="float32")
+    assert net32.flat.dtype == np.float32
+    assert all(p.dtype == np.float32 for p in net32.parameters())
+    assert np.array_equal(net32.flat, net64.flat.astype(np.float32))
+    with pytest.raises(ConfigurationError):
+        nets.init_network((4, 6, 2), seed=3, dtype="float16")
+
+
+def test_float32_network_computes_in_float32():
+    net = nets.init_network((4, 6, 2), seed=3, dtype="float32")
+    x = np.random.default_rng(0).normal(size=(5, 4))  # float64 input
+    out, tape = nets.forward(net, x)
+    grads, in_grad = nets.backward(net, tape, np.ones((5, 2)))
+    assert out.dtype == grads.dtype == in_grad.dtype == np.float32
+    state = nets.init_adam(net.flat)
+    nets.adam_step(net.flat, grads, state)
+    nets.soft_update(net.flat, net.flat.copy(), 0.5)
+    assert net.flat.dtype == state.m.dtype == state.v.dtype == np.float32
+    nets.set_params_from_vector(net, np.zeros(net.num_parameters()))
+    assert net.flat.dtype == np.float32 and not net.flat.any()
 
 
 # -- soft update and vector round trips --------------------------------------
