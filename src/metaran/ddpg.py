@@ -114,26 +114,40 @@ def sample_batch(
     )
 
 
-class DdpgAgent:
-    """Actor-critic pair with target networks and Gaussian exploration."""
+# The learner: what a DdpgAgent shares with the agents bound to it.
+LEARNER = ("actor", "critic", "target_actor", "target_critic", "actor_opt", "critic_opt")
 
-    def __init__(self, obs_dim: int, act_dim: int, hyper: Hyper, rng: np.random.Generator):
+
+class DdpgAgent:
+    """Actor-critic pair with target networks and Gaussian exploration.
+
+    With learner=other the agent is bound to other's learner (the LEARNER
+    attributes are the same objects) and owns only its replay buffer, rng
+    and noise level. It still draws its two network-init seeds from rng, so
+    its exploration and sampling streams equal an unbound agent's.
+    """
+
+    def __init__(self, obs_dim: int, act_dim: int, hyper: Hyper, rng: np.random.Generator,
+                 learner: "DdpgAgent | None" = None):
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.hyper = hyper
         self.rng = rng
-        actor_sizes = (obs_dim, *hyper.hidden_sizes, act_dim)
-        critic_sizes = (obs_dim + act_dim, *hyper.hidden_sizes, 1)
-        self.actor = nets.init_network(
-            actor_sizes, int(rng.integers(2**31)), "tanh", hyper.dtype
-        )
-        self.critic = nets.init_network(
-            critic_sizes, int(rng.integers(2**31)), "identity", hyper.dtype
-        )
-        self.target_actor = self.actor.copy()
-        self.target_critic = self.critic.copy()
-        self.actor_opt = nets.init_adam(self.actor.flat, lr=hyper.effective_actor_lr)
-        self.critic_opt = nets.init_adam(self.critic.flat, lr=hyper.lr)
+        actor_seed, critic_seed = (int(rng.integers(2**31)) for _ in range(2))
+        if learner is not None:
+            if (learner.obs_dim, learner.act_dim, learner.hyper) != (obs_dim, act_dim, hyper):
+                raise ContractViolation("a bound agent must match its learner's dims and hyper")
+            for name in LEARNER:
+                setattr(self, name, getattr(learner, name))
+        else:
+            actor_sizes = (obs_dim, *hyper.hidden_sizes, act_dim)
+            critic_sizes = (obs_dim + act_dim, *hyper.hidden_sizes, 1)
+            self.actor = nets.init_network(actor_sizes, actor_seed, "tanh", hyper.dtype)
+            self.critic = nets.init_network(critic_sizes, critic_seed, "identity", hyper.dtype)
+            self.target_actor = self.actor.copy()
+            self.target_critic = self.critic.copy()
+            self.actor_opt = nets.init_adam(self.actor.flat, lr=hyper.effective_actor_lr)
+            self.critic_opt = nets.init_adam(self.critic.flat, lr=hyper.lr)
         self.buffer = ReplayBuffer(hyper.buffer_capacity, obs_dim, act_dim, hyper.dtype)
         self.noise_std = hyper.noise_std
 
@@ -147,13 +161,19 @@ class DdpgAgent:
 
     def load_vectors(self, actor_vec: np.ndarray, critic_vec: np.ndarray) -> None:
         """Set online and target networks from flat vectors, cast to the
-        agent's dtype; fresh optimizers."""
+        agent's dtype, and restart both optimizers as init_adam would: zero
+        moments, step_count 0, the hyper's step size. All in place, so every
+        array keeps its identity and, in the agent's dtype, nothing is
+        allocated."""
         nets.set_params_from_vector(self.actor, actor_vec)
         nets.set_params_from_vector(self.critic, critic_vec)
-        self.target_actor = self.actor.copy()
-        self.target_critic = self.critic.copy()
-        self.actor_opt = nets.init_adam(self.actor.flat, lr=self.hyper.effective_actor_lr)
-        self.critic_opt = nets.init_adam(self.critic.flat, lr=self.hyper.lr)
+        np.copyto(self.target_actor.flat, self.actor.flat)
+        np.copyto(self.target_critic.flat, self.critic.flat)
+        for opt, lr in ((self.actor_opt, self.hyper.effective_actor_lr),
+                        (self.critic_opt, self.hyper.lr)):
+            opt.m.fill(0)
+            opt.v.fill(0)
+            opt.step_count, opt.lr = 0, lr
 
     # -- acting ------------------------------------------------------------
 

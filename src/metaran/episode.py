@@ -68,13 +68,14 @@ class TaskEnv:
         alloc = mdp.decode_action(raw_action, self.config, idle_mask=idle)
         report = cell.compute_rates(alloc, ch, s, self.config)
         qos = mdp.qos_stats(report, self.task)
-        reward = mdp.compute_reward(qos, alloc, self.task)
+        penalties = mdp.compute_penalties(alloc, self.config)
+        reward = mdp.compute_reward(qos, penalties, self.task)
         state = mdp.encode_state(qos, alloc, self.task)
 
         self.snapshot = s
         self.prev_alloc = alloc
         self.last_report = report
 
-        p_c, k_r = mdp.compute_penalties(alloc, self.config)
+        p_c, k_r = penalties
         info = {**mdp.qos_info(qos), "power_penalty": p_c, "rb_penalty": k_r}
         return state, reward, info

@@ -53,7 +53,8 @@ def action_dim(num_ues: int) -> int:
 
 
 def sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):  # exp(-x) = inf for x < -709 gives 0.0
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def decode_action(
@@ -122,13 +123,14 @@ def qos_info(qos: np.ndarray) -> dict:
     return dict(zip(QOS_KEYS, map(float, qos)))
 
 
-def compute_reward(qos: np.ndarray, alloc: AllocationAction, task: TaskSpec) -> float:
+def compute_reward(qos: np.ndarray, penalties: tuple, task: TaskSpec) -> float:
     """sigmoid(normalized min QoS) minus sigmoid of each penalty; in (-2, 1).
 
-    qos is qos_stats(...) for the step; Q_m is its minimum.
+    qos is qos_stats(...) for the step, whose Q_m is its minimum; penalties
+    is compute_penalties(...) of the step's allocation.
     """
     q_norm = (qos[1] - task.demand_min) / (task.demand_max - task.demand_min)
-    p_c, k_r = compute_penalties(alloc, task.cell_config)
+    p_c, k_r = penalties
     return float(sigmoid(q_norm) - sigmoid(p_c) - sigmoid(k_r))
 
 

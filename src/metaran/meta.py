@@ -92,12 +92,21 @@ def query_gradients(agent: DdpgAgent, rng: np.random.Generator):
     return a_grads, c_grads
 
 
-def apply_meta_update(meta: MetaModel, actor_grads: list, critic_grads: list) -> None:
-    """One Adam step on the summed task query gradients (no-op if empty)."""
-    if not actor_grads:
+def accumulate(total, grad):
+    """Running task sum of a query gradient: grad itself (taken over) when
+    total is None, else total += grad. Added in task order this is bitwise
+    np.sum(grads, axis=0), without holding every task's gradient."""
+    if total is None:
+        return grad
+    total += grad
+    return total
+
+
+def apply_meta_update(meta: MetaModel, g_actor, g_critic) -> None:
+    """One Adam step on the task-summed query gradients; a no-op when they
+    are None (no task had a query batch yet)."""
+    if g_actor is None:
         return
-    g_actor = np.sum(actor_grads, axis=0)
-    g_critic = np.sum(critic_grads, axis=0)
     if not (np.isfinite(g_actor).all() and np.isfinite(g_critic).all()):
         raise TrainingDivergence("non-finite meta gradient")
     nets.adam_step(meta.actor_vec, g_actor, meta.actor_opt)
@@ -113,8 +122,11 @@ def meta_train(
 ) -> MetaModel:
     """Run the full meta-training loop and return the trained meta model.
 
-    on_outer_start(iteration, meta, agents) is invoked after the per-iteration
-    re-initialization of every task agent from the meta parameters.
+    The task agents are bound to one learner, which each task reloads from
+    the meta parameters (DdpgAgent.load_vectors) right before its episodes.
+    on_outer_start(iteration, meta, agents) is invoked after the first task's
+    reload, so it sees every agent at the meta parameters; the agents share
+    one actor, critic, target pair and optimizer pair.
     """
     if len(tasks) != schedule.num_tasks:
         raise ConfigurationError(
@@ -134,29 +146,30 @@ def meta_train(
         TaskEnv(task, derive_rng(seed, "meta-train", "env", task.task_id))
         for task in tasks
     ]
-    agents = [
-        DdpgAgent(obs_dim, act_dim, hyper,
-                  derive_rng(seed, "meta-train", "agent", task.task_id))
-        for task in tasks
-    ]
+    agents = []
+    for task in tasks:
+        agents.append(DdpgAgent(obs_dim, act_dim, hyper,
+                                derive_rng(seed, "meta-train", "agent", task.task_id),
+                                learner=agents[0] if agents else None))
     query_rngs = [
         derive_rng(seed, "meta-train", "query", task.task_id) for task in tasks
     ]
 
     for it in range(1, schedule.outer_iters + 1):
-        for agent in agents:
-            agent.load_vectors(meta.actor_vec, meta.critic_vec)
+        agents[0].load_vectors(meta.actor_vec, meta.critic_vec)
         if on_outer_start is not None:
             on_outer_start(it, meta, agents)
-        actor_grads, critic_grads = [], []
-        for env, agent, qrng in zip(envs, agents, query_rngs):
+        g_actor = g_critic = None
+        for i, (env, agent, qrng) in enumerate(zip(envs, agents, query_rngs)):
+            if i > 0:  # the first task's reload ran before the hook
+                agent.load_vectors(meta.actor_vec, meta.critic_vec)
             for _ in range(schedule.eval_episodes):
                 run_episode(agent, env, hyper.horizon, explore=True, train=True)
             grads = query_gradients(agent, qrng)
             if grads is not None:
-                actor_grads.append(grads[0])
-                critic_grads.append(grads[1])
-        apply_meta_update(meta, actor_grads, critic_grads)
+                g_actor = accumulate(g_actor, grads[0])
+                g_critic = accumulate(g_critic, grads[1])
+        apply_meta_update(meta, g_actor, g_critic)
     return meta
 
 

@@ -149,7 +149,15 @@ def backward(net: DenseNetwork, tape, output_grad: np.ndarray, wrt: str = "both"
             np.matmul(acts[i].T, g, out=grad_w[i])
             np.sum(g, axis=0, out=grad_b[i])
         if i > 0 or wrt != "params":
-            g = g @ net.weights[i].T
+            w = net.weights[i]
+            if w.shape[1] == 1:
+                # Fan-out 1 (the critic head): the K=1 matmul is 0 + g*w per
+                # entry, so a broadcast product plus 0.0 (which turns a -0.0
+                # product into +0.0) is bitwise the same, without BLAS.
+                g = g * w.T
+                g += 0.0
+            else:
+                g = g @ w.T
     if wrt != "params":
         input_grad = g[0] if tape["single"] else g
     return grad, input_grad

@@ -156,13 +156,13 @@ def test_reward_contract():
     for i in range(100_000):
         r = mdp.compute_reward(
             _fake_qos(task, float(min_rates[i]), bool(actives[i])),
-            pool[i % 512],
+            mdp.compute_penalties(pool[i % 512], cfg),
             task,
         )
         assert -2.0 < r < 1.0
 
     # Exact anchor: Q_m at the demand floor with zero penalties.
-    empty = mdp.zero_allocation(cfg)
+    empty = mdp.compute_penalties(mdp.zero_allocation(cfg), cfg)
     r0 = mdp.compute_reward(_fake_qos(task, task.demand_min, True), empty, task)
     assert r0 == pytest.approx(-0.5, abs=1e-12)
 
@@ -173,7 +173,8 @@ def test_reward_contract():
     modest = decode_action(np.array([0.0, 0.0, -1.0, -1.0, -1.0, -1.0]), cfg)
     greedy = decode_action(np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), cfg)
     rep = _fake_qos(task, 5e6, True)
-    assert mdp.compute_reward(rep, greedy, task) < mdp.compute_reward(rep, modest, task)
+    assert (mdp.compute_reward(rep, mdp.compute_penalties(greedy, cfg), task)
+            < mdp.compute_reward(rep, mdp.compute_penalties(modest, cfg), task))
     assert time.perf_counter() - start < 5.0
 
 

@@ -1,5 +1,7 @@
 """Tests for the DDPG learner: buffer, gradients, episode loop, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,49 @@ def test_load_vectors_resets_targets_and_optimizers():
     )
     assert agent.critic_opt.step_count == 0
     assert agent.actor_opt.lr == agent.hyper.effective_actor_lr
+
+
+def test_load_vectors_reloads_in_place():
+    agent = make_agent(actor_lr=5e-4, hidden_sizes=(64, 64))
+    fill_buffer(agent, 16)
+    for _ in range(3):
+        agent.train_step(sample_batch(agent.buffer, 4, "support", agent.rng))
+    agent.actor_opt.lr = agent.critic_opt.lr = 0.5
+    arrays = [agent.actor.flat, agent.critic.flat, agent.target_actor.flat,
+              agent.target_critic.flat, agent.actor_opt.m, agent.actor_opt.v,
+              agent.critic_opt.m, agent.critic_opt.v]
+    assert agent.critic_opt.m.any() and agent.actor_opt.step_count == 3
+    other = make_agent(seed=99, hidden_sizes=(64, 64))
+    vectors = other.actor_vector(), other.critic_vector()
+    tracemalloc.start()
+    agent.load_vectors(*vectors)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < agent.actor.flat.nbytes // 4  # no network-sized allocation
+    now = [agent.actor.flat, agent.critic.flat, agent.target_actor.flat,
+           agent.target_critic.flat, agent.actor_opt.m, agent.actor_opt.v,
+           agent.critic_opt.m, agent.critic_opt.v]
+    assert all(a is b for a, b in zip(arrays, now))
+    assert np.array_equal(agent.target_actor.flat, other.actor.flat)
+    assert np.array_equal(agent.target_critic.flat, other.critic.flat)
+    for opt, lr in ((agent.actor_opt, 5e-4), (agent.critic_opt, 1e-3)):
+        assert not opt.m.any() and not opt.v.any()
+        assert opt.step_count == 0 and opt.lr == lr
+
+
+def test_bound_agent_shares_the_learner_and_keeps_its_streams():
+    learner = make_agent(seed=1)
+    bound = DdpgAgent(3, 2, tiny_hyper(), np.random.default_rng(5), learner=learner)
+    alone = make_agent(seed=5)
+    for name in ("actor", "critic", "target_actor", "target_critic",
+                 "actor_opt", "critic_opt"):
+        assert getattr(bound, name) is getattr(learner, name)
+    assert bound.buffer is not learner.buffer and bound.rng is not learner.rng
+    assert bound.rng.bit_generator.state == alone.rng.bit_generator.state
+    with pytest.raises(ContractViolation):
+        DdpgAgent(4, 2, tiny_hyper(), np.random.default_rng(5), learner=learner)
+    with pytest.raises(ContractViolation):
+        DdpgAgent(3, 2, tiny_hyper(lr=0.5), np.random.default_rng(5), learner=learner)
 
 
 def test_warmup_gate_blocks_updates():

@@ -1,5 +1,7 @@
 """Tests for the MDP layer: encoding, decoding, penalties, reward."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,23 +192,24 @@ def test_reward_at_demand_floor_is_minus_half():
     task = make_task(num_ues=1, num_rbs=8)
     cfg = task.cell_config
     qos = _qos(task, [task.demand_min], [True])
-    assert compute_reward(qos, zero_allocation(cfg), task) == pytest.approx(-0.5, abs=1e-12)
+    penalties = compute_penalties(zero_allocation(cfg), cfg)
+    assert compute_reward(qos, penalties, task) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_reward_all_idle_uses_demand_ceiling():
     task = make_task(num_ues=2, num_rbs=8)
     cfg = task.cell_config
     qos = _qos(task, [0.0, 0.0], [False, False])
-    got = compute_reward(qos, zero_allocation(cfg), task)
+    got = compute_reward(qos, compute_penalties(zero_allocation(cfg), cfg), task)
     assert got == pytest.approx(sigmoid(1.0) - 1.0)
 
 
 def test_reward_monotone_in_min_rate():
     task = make_task(num_ues=1, num_rbs=8)
     cfg = task.cell_config
-    alloc = zero_allocation(cfg)
-    lo = compute_reward(_qos(task, [2e6], [True]), alloc, task)
-    hi = compute_reward(_qos(task, [8e6], [True]), alloc, task)
+    penalties = compute_penalties(zero_allocation(cfg), cfg)
+    lo = compute_reward(_qos(task, [2e6], [True]), penalties, task)
+    hi = compute_reward(_qos(task, [8e6], [True]), penalties, task)
     assert hi > lo
 
 
@@ -216,7 +219,8 @@ def test_reward_decreases_with_requested_excess():
     qos = _qos(task, [5e6, 5e6], [True, True])
     modest = decode_action(np.array([0.0, 0.0, -1.0, -1.0]), cfg)  # 5 + 5 = K
     greedy = decode_action(np.array([1.0, 1.0, -1.0, -1.0]), cfg)  # 10 + 10 > K
-    assert compute_reward(qos, greedy, task) < compute_reward(qos, modest, task)
+    assert (compute_reward(qos, compute_penalties(greedy, cfg), task)
+            < compute_reward(qos, compute_penalties(modest, cfg), task))
 
 
 def test_reward_range_random_inputs():
@@ -227,7 +231,7 @@ def test_reward_range_random_inputs():
         alloc = decode_action(rng.uniform(-1, 1, size=6), cfg)
         rates = rng.uniform(0, 3 * task.demand_max, size=3)
         active = rng.uniform(size=3) < 0.8
-        r = compute_reward(_qos(task, rates, active), alloc, task)
+        r = compute_reward(_qos(task, rates, active), compute_penalties(alloc, cfg), task)
         assert -2.0 < r < 1.0
 
 
@@ -253,8 +257,25 @@ def _reward_inputs(draw):
 def test_reward_in_open_interval_for_extreme_inputs(inputs):
     task, raw, rates, active = inputs
     alloc = decode_action(raw, task.cell_config, idle_mask=~np.asarray(active))
-    r = compute_reward(_qos(task, rates, active), alloc, task)
+    penalties = compute_penalties(alloc, task.cell_config)
+    r = compute_reward(_qos(task, rates, active), penalties, task)
     assert -2.0 < r < 1.0
+
+
+def test_extreme_reward_inputs_emit_no_runtime_warning():
+    # A narrow demand band puts an unserved UE's normalized QoS near -1e15,
+    # where exp(-x) overflows; sigmoid still reads 0 and stays silent.
+    cfg = CellConfig(num_ues=1, num_rbs=4)
+    task = TaskSpec(demand_min=1e12, demand_max=1e12 + 1e-3, cell_config=cfg)
+    penalties = compute_penalties(zero_allocation(cfg), cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sigmoid(-1e308) == 0.0 and sigmoid(-710.0) == 0.0
+        assert sigmoid(1e308) == 1.0
+        r = compute_reward(_qos(task, [0.0], [True]), penalties, task)
+    assert r == -sigmoid(penalties[0]) - sigmoid(penalties[1]) == -1.0
+    for x in (-709.0, -3.5, 0.0, 0.25, 40.0):  # no overflow: the plain formula
+        assert sigmoid(x) == 1.0 / (1.0 + np.exp(-x))
 
 
 # -- state encoding ----------------------------------------------------------

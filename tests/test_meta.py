@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from metaran import nets
+from metaran import mdp, nets
 from metaran.cell import CellConfig
-from metaran.ddpg import Hyper
+from metaran.ddpg import DdpgAgent, Hyper, run_episode
+from metaran.episode import TaskEnv
 from metaran.errors import ConfigurationError
 from metaran.mdp import TaskSpec
 from metaran.meta import (
     MetaSchedule,
+    accumulate,
     apply_meta_update,
     init_meta_model,
     inner_adapt,
@@ -17,10 +19,12 @@ from metaran.meta import (
     meta_adapt_new,
     meta_train,
     mtl_schedule,
+    query_gradients,
     random_init_model,
     run_baseline,
     save_meta_model,
 )
+from metaran.seeding import derive_rng, derive_seed
 
 
 def tiny_hyper(**kw):
@@ -72,7 +76,7 @@ def test_empty_update_is_a_noop():
     h = tiny_hyper()
     m = init_meta_model(5, 2, h, seed=1)
     before = m.actor_vec.copy()
-    apply_meta_update(m, [], [])
+    apply_meta_update(m, None, None)
     assert np.array_equal(m.actor_vec, before)
     assert m.actor_opt.step_count == 0
 
@@ -88,7 +92,7 @@ def test_single_task_update_equals_plain_adam_step():
     nets.adam_step(ref.actor_vec, ga.copy(), ref.actor_opt)
     nets.adam_step(ref.critic_vec, gc.copy(), ref.critic_opt)
 
-    apply_meta_update(m, [ga], [gc])
+    apply_meta_update(m, ga, gc)
     assert np.allclose(m.actor_vec, ref.actor_vec, atol=0)
     assert np.allclose(m.critic_vec, ref.critic_vec, atol=0)
 
@@ -101,10 +105,24 @@ def test_multi_task_update_sums_gradients():
     g1c, g2c = rng.normal(size=(2, *m.critic_vec.shape))
 
     ref = init_meta_model(5, 2, h, seed=2)
-    apply_meta_update(ref, [g1a + g2a], [g1c + g2c])
-    apply_meta_update(m, [g1a, g2a], [g1c, g2c])
+    apply_meta_update(ref, g1a + g2a, g1c + g2c)
+    apply_meta_update(m, accumulate(accumulate(None, g1a), g2a),
+                      accumulate(accumulate(None, g1c), g2c))
     assert np.allclose(m.actor_vec, ref.actor_vec, atol=0)
     assert np.allclose(m.critic_vec, ref.critic_vec, atol=0)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_running_sum_is_bitwise_the_stacked_sum(dtype):
+    rng = np.random.default_rng(11)
+    for tasks in range(1, 9):
+        grads = [rng.normal(size=1001).astype(dtype) for _ in range(tasks)]
+        expected = np.sum(grads, axis=0)
+        total = None
+        for g in grads:
+            total = accumulate(total, g.copy())
+        assert total.dtype == expected.dtype
+        assert total.tobytes() == expected.tobytes(), tasks
 
 
 # -- meta-training loop ------------------------------------------------------
@@ -143,6 +161,68 @@ def test_agents_restart_from_meta_params_every_iteration():
     assert len(seen) == 3
     # Once buffers warm up the meta parameters actually move.
     assert not np.array_equal(seen[0], seen[-1])
+
+
+def reference_meta_train(tasks, schedule, hyper, seed):
+    """The meta loop with T independent agents, each with its own learner,
+    and the query gradients summed at the end of the iteration."""
+    n = tasks[0].cell_config.num_ues
+    obs_dim, act_dim = mdp.observation_dim(n), mdp.action_dim(n)
+    meta = init_meta_model(
+        obs_dim, act_dim, hyper, derive_seed(seed, "meta-init"),
+        actor_lr=schedule.meta_actor_lr, critic_lr=schedule.meta_critic_lr,
+    )
+    envs = [TaskEnv(t, derive_rng(seed, "meta-train", "env", t.task_id)) for t in tasks]
+    agents = [DdpgAgent(obs_dim, act_dim, hyper,
+                        derive_rng(seed, "meta-train", "agent", t.task_id)) for t in tasks]
+    qrngs = [derive_rng(seed, "meta-train", "query", t.task_id) for t in tasks]
+    for _ in range(schedule.outer_iters):
+        for agent in agents:
+            agent.load_vectors(meta.actor_vec, meta.critic_vec)
+        actor_grads, critic_grads = [], []
+        for env, agent, qrng in zip(envs, agents, qrngs):
+            for _ in range(schedule.eval_episodes):
+                run_episode(agent, env, hyper.horizon, explore=True, train=True)
+            grads = query_gradients(agent, qrng)
+            if grads is not None:
+                actor_grads.append(grads[0])
+                critic_grads.append(grads[1])
+        if actor_grads:
+            nets.adam_step(meta.actor_vec, np.sum(actor_grads, axis=0), meta.actor_opt)
+            nets.adam_step(meta.critic_vec, np.sum(critic_grads, axis=0), meta.critic_opt)
+    return meta
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_shared_learner_equals_independent_agents_bytewise(dtype):
+    h = tiny_hyper(dtype=dtype)
+    tasks = [tiny_task(4, 0), tiny_task(6, 1), tiny_task(8, 2)]
+    sched = MetaSchedule(outer_iters=4, eval_episodes=2, num_tasks=3)
+    got = meta_train(tasks, sched, h, seed=9)
+    ref = reference_meta_train(tasks, sched, h, seed=9)
+    assert got.actor_opt.step_count == ref.actor_opt.step_count >= 2
+    for name in ("actor_vec", "critic_vec"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    for name in ("actor_opt", "critic_opt"):
+        for moment in ("m", "v"):
+            a, b = getattr(getattr(got, name), moment), getattr(getattr(ref, name), moment)
+            assert a.tobytes() == b.tobytes(), (name, moment)
+
+
+def test_hook_agents_share_one_learner_and_own_their_state():
+    h = tiny_hyper()
+    tasks = [tiny_task(4, 0), tiny_task(6, 1), tiny_task(8, 2)]
+    seen = []
+    meta_train(tasks, MetaSchedule(outer_iters=2, eval_episodes=1, num_tasks=3),
+               h, seed=0, on_outer_start=lambda it, m, agents: seen.append(list(agents)))
+    for agents in seen:
+        assert len(agents) == 3
+        for name in ("actor", "critic", "target_actor", "target_critic",
+                     "actor_opt", "critic_opt"):
+            assert len({id(getattr(a, name)) for a in agents}) == 1, name
+        for name in ("buffer", "rng"):
+            assert len({id(getattr(a, name)) for a in agents}) == 3, name
+    assert all(a is b for a, b in zip(seen[0], seen[1]))
 
 
 def test_meta_train_is_deterministic():
@@ -264,8 +344,8 @@ def test_save_load_meta_model_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     apply_meta_update(
         m,
-        [rng.normal(size=m.actor_vec.shape)],
-        [rng.normal(size=m.critic_vec.shape)],
+        rng.normal(size=m.actor_vec.shape),
+        rng.normal(size=m.critic_vec.shape),
     )
     path = tmp_path / "meta.npz"
     save_meta_model(path, m)

@@ -181,6 +181,41 @@ def test_one_sided_backward_is_bitwise_the_full_backward(activation, batch):
     assert input_only.shape == x.shape
 
 
+def matmul_backward(net, tape, g):
+    """backward with every input product written as g @ W.T."""
+    acts, last = tape["acts"], len(net.weights) - 1
+    g = np.asarray(g, dtype=net.flat.dtype).reshape(acts[-1].shape)
+    w_grads, b_grads = [], []
+    for i in range(last, -1, -1):
+        if i < last or net.output_activation == "tanh":
+            g = (1.0 - np.square(acts[i + 1])) * g
+        w_grads.insert(0, acts[i].T @ g)
+        b_grads.insert(0, np.sum(g, axis=0))
+        g = g @ net.weights[i].T
+    flat = np.concatenate([a.ravel() for wb in zip(w_grads, b_grads) for a in wb])
+    return flat, g
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_fan_out_one_head_backward_is_bitwise_the_matmul(dtype):
+    rng = np.random.default_rng(21)
+    for case in range(40):
+        hidden = (int(rng.integers(1, 60)),) if case % 2 else ()  # (n, 1): head = input
+        sizes = (int(rng.integers(1, 40)), *hidden, 1)
+        net = nets.init_network(sizes, seed=case, output_activation="identity", dtype=dtype)
+        batch = int(rng.integers(1, 150))
+        x = rng.normal(size=(batch, sizes[0]))
+        g = rng.normal(size=(batch, 1))
+        g[0, 0] = 0.0  # with a negative weight the product is -0.0
+        net.weights[-1][0, 0] = -abs(net.weights[-1][0, 0])
+        _, tape = nets.forward(net, x)
+        grad, in_grad = nets.backward(net, tape, g)
+        ref_grad, ref_in = matmul_backward(net, tape, g)
+        assert grad.tobytes() == ref_grad.tobytes(), case
+        assert in_grad.dtype == np.dtype(dtype)
+        assert in_grad.tobytes() == ref_in.tobytes(), case
+
+
 def test_backward_rejects_unknown_target():
     net = nets.init_network((3, 4, 2), seed=7)
     _, tape = nets.forward(net, np.zeros(3))
