@@ -5,7 +5,8 @@ UEs move, carry a four-level traffic state, and see unit-mean Rayleigh power
 fading plus random background interference from a few fixed neighbor RUs.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class CellConfig:
         if self.num_neighbors < 0:
             raise ConfigurationError("num_neighbors must be >= 0")
 
-    @property
+    @cached_property
     def noise_rb_mw(self) -> float:
         """Noise power per RB in mW (PSD in dBm/Hz integrated over the RB)."""
         return 10.0 ** ((self.noise_psd + 10.0 * np.log10(self.rb_bandwidth)) / 10.0)
@@ -77,6 +78,14 @@ class CellConfig:
         m = self.num_neighbors
         angles = 2.0 * np.pi * np.arange(m) / max(m, 1)
         return NEIGHBOR_DISTANCE * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+    @cached_property
+    def ru_positions(self) -> np.ndarray:
+        """(1 + M, 2) read-only: the serving RU at the origin, then the
+        neighbor RUs; built once per config for the rate computation."""
+        ru = np.vstack([np.zeros((1, 2)), self.neighbor_positions()])
+        ru.flags.writeable = False
+        return ru
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,7 @@ def reset(config: CellConfig, seed) -> EnvSnapshot:
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     positions = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
     speeds = rng.uniform(SPEED_MIN, SPEED_MAX, size=n)
-    directions = rng.choice(DIRECTIONS, size=n)
+    directions = DIRECTIONS[rng.integers(0, len(DIRECTIONS), size=n)]
     traffic = rng.integers(0, len(TRAFFIC_LEVELS), size=n)
     return EnvSnapshot(
         ue_positions=positions,
@@ -146,27 +155,23 @@ def step_mobility(
     """
     if dt <= 0:
         raise ContractViolation("dt must be positive")
-    step = (s.ue_speeds * dt)[:, None] * np.stack(
-        [np.cos(s.ue_directions), np.sin(s.ue_directions)], axis=1
-    )
-    pos = s.ue_positions + step
-    dist = np.linalg.norm(pos, axis=1)
-    out = dist > config.cell_radius
-    speeds = s.ue_speeds.copy()
-    directions = s.ue_directions.copy()
-    if np.any(out):
+    v = s.ue_speeds * dt
+    pos = np.empty(s.ue_positions.shape)
+    x = np.add(s.ue_positions[:, 0], v * np.cos(s.ue_directions), out=pos[:, 0])
+    y = np.add(s.ue_positions[:, 1], v * np.sin(s.ue_directions), out=pos[:, 1])
+    dist = np.sqrt(x * x + y * y)  # bitwise norm(pos, axis=1)
+    out = (dist > config.cell_radius).nonzero()[0]
+    speeds, directions = s.ue_speeds, s.ue_directions
+    if out.size:
         # Mirror across the circle: new radius = 2R - r, same bearing.
-        scale = (2.0 * config.cell_radius - dist[out]) / dist[out]
-        pos[out] *= scale[:, None]
-        directions[out] = rng.choice(DIRECTIONS, size=int(out.sum()))
-        speeds[out] = rng.uniform(SPEED_MIN, SPEED_MAX, size=int(out.sum()))
-    return replace(
-        s,
-        ue_positions=pos,
-        ue_speeds=speeds,
-        ue_directions=directions,
-        time_index=s.time_index + 1,
-    )
+        d = dist[out]
+        pos[out] *= ((2.0 * config.cell_radius - d) / d)[:, None]
+        directions = directions.copy()
+        speeds = speeds.copy()
+        # The same draws as rng.choice(DIRECTIONS, size=...), without its overhead.
+        directions[out] = DIRECTIONS[rng.integers(0, len(DIRECTIONS), size=out.size)]
+        speeds[out] = rng.uniform(SPEED_MIN, SPEED_MAX, size=out.size)
+    return EnvSnapshot(pos, speeds, directions, s.traffic_levels, s.time_index + 1)
 
 
 def step_traffic(
@@ -177,9 +182,11 @@ def step_traffic(
     switch = rng.uniform(size=n) < switch_prob
     # Offset in 1..3 guarantees the new level differs from the old one.
     offsets = rng.integers(1, len(TRAFFIC_LEVELS), size=n)
-    levels = s.traffic_levels.copy()
-    levels[switch] = (levels[switch] + offsets[switch]) % len(TRAFFIC_LEVELS)
-    return replace(s, traffic_levels=levels)
+    levels = s.traffic_levels
+    if switch.any():
+        levels = levels.copy()
+        levels[switch] = (levels[switch] + offsets[switch]) % len(TRAFFIC_LEVELS)
+    return EnvSnapshot(s.ue_positions, s.ue_speeds, s.ue_directions, levels, s.time_index)
 
 
 def sample_channel(
@@ -222,19 +229,25 @@ def compute_rates(
     where e[u,k] = 1 exactly when UE u owns RB k.
     """
     _validate_alloc(alloc, config)
-    eta = config.path_loss_exp
-    d_own = np.maximum(np.linalg.norm(s.ue_positions, axis=1), MIN_DISTANCE)
-    signal = alloc.per_rb_power[None, :] * d_own[:, None] ** (-eta) * ch.gain
+    return _rates(alloc, ch, s, config)
+
+
+def _rates(alloc, ch: ChannelRealization, s: EnvSnapshot, config: CellConfig) -> RateReport:
+    """compute_rates without the allocation check, for allocations that are
+    feasible by construction (mdp.decode_action's)."""
+    ru = config.ru_positions
+    dx = s.ue_positions[:, 0] - ru[:, 0, None]  # (1 + M, N); row 0 is x - 0.0 = x
+    dy = s.ue_positions[:, 1] - ru[:, 1, None]
+    # sqrt(dx*dx + dy*dy) is bitwise norm(..., axis=-1) over the (x, y) pair.
+    loss = np.maximum(np.sqrt(dx * dx + dy * dy), MIN_DISTANCE) ** (-config.path_loss_exp)
+    signal = alloc.per_rb_power[None, :] * loss[0, :, None] * ch.gain
 
     interference = 0.0
     if config.num_neighbors > 0:
-        diff = s.ue_positions[None, :, :] - config.neighbor_positions()[:, None, :]
-        d_nb = np.maximum(np.linalg.norm(diff, axis=2), MIN_DISTANCE)  # (M, N)
-        interference = np.sum(
-            ch.neighbor_power[:, None, :] * d_nb[:, :, None] ** (-eta) * ch.neighbor_gain,
-            axis=0,
+        interference = np.add.reduce(  # np.sum's reduction, without its dispatch
+            ch.neighbor_power[:, None, :] * loss[1:, :, None] * ch.neighbor_gain, axis=0
         )
 
     sinr = signal / (interference + config.noise_rb_mw)
-    rates = config.rb_bandwidth * np.sum(alloc.rb_indicator * np.log2(1.0 + sinr), axis=1)
+    rates = config.rb_bandwidth * np.add.reduce(alloc.rb_indicator * np.log2(1.0 + sinr), axis=1)
     return RateReport(per_ue_rate=rates, active=s.active_mask)

@@ -1,8 +1,15 @@
 """Episode loop glue: a gym-style environment for one task.
 
 Per-step ordering: mobility -> traffic -> channel draw -> action decode ->
-rates -> reward. The observation handed to the agent therefore reflects the
-world after this step's dynamics and the agent's own last action.
+rates -> QoS stats -> penalties -> reward -> observation. The observation
+handed to the agent therefore reflects the world after this step's dynamics
+and the agent's own last action.
+
+The step computes rates with `cell._rates`, which skips the post-hoc
+allocation check of the public `cell.compute_rates`: `mdp.decode_action`
+builds a feasible allocation by construction (one owner per RB, powers in
+[p_min, p_max], idle UEs and unassigned RBs at zero). `reset` keeps the
+checked path.
 """
 
 from dataclasses import replace
@@ -10,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import cell, mdp
+from .errors import ContractViolation
 from .mdp import TaskSpec
 
 
@@ -32,7 +40,6 @@ class TaskEnv:
         self.stationary = stationary
         self.snapshot = None
         self.prev_alloc = None
-        self.last_report = None
 
     @property
     def observation_dim(self) -> int:
@@ -50,14 +57,14 @@ class TaskEnv:
             self.snapshot = replace(self.snapshot, traffic_levels=levels)
         self.prev_alloc = mdp.zero_allocation(self.config)
         ch = cell.sample_channel(self.snapshot, self.config, self.rng)
-        self.last_report = cell.compute_rates(
-            self.prev_alloc, ch, self.snapshot, self.config
-        )
-        qos = mdp.qos_stats(self.last_report, self.task)
+        report = cell.compute_rates(self.prev_alloc, ch, self.snapshot, self.config)
+        qos = mdp.qos_stats(report, self.task)
         return mdp.encode_state(qos, self.prev_alloc, self.task)
 
     def step(self, raw_action: np.ndarray):
         """Apply one raw actor output; returns (obs, reward, info)."""
+        if self.snapshot is None:
+            raise ContractViolation("call reset() before step()")
         if self.stationary:
             s = self.snapshot
         else:
@@ -66,7 +73,7 @@ class TaskEnv:
         ch = cell.sample_channel(s, self.config, self.rng)
         idle = ~s.active_mask
         alloc = mdp.decode_action(raw_action, self.config, idle_mask=idle)
-        report = cell.compute_rates(alloc, ch, s, self.config)
+        report = cell._rates(alloc, ch, s, self.config)  # feasible by construction
         qos = mdp.qos_stats(report, self.task)
         penalties = mdp.compute_penalties(alloc, self.config)
         reward = mdp.compute_reward(qos, penalties, self.task)
@@ -74,7 +81,6 @@ class TaskEnv:
 
         self.snapshot = s
         self.prev_alloc = alloc
-        self.last_report = report
 
         p_c, k_r = penalties
         info = {**mdp.qos_info(qos), "power_penalty": p_c, "rb_penalty": k_r}

@@ -4,6 +4,7 @@ All functions here are pure; the episode loop lives in episode.py.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,9 +39,10 @@ class AllocationAction:
     per_rb_power: np.ndarray  # (K,) mW, 0 on unassigned RBs
     ue_power: np.ndarray  # (N,) mW, the power each UE's RBs would carry
 
-    @property
+    @cached_property
     def rb_indicator(self) -> np.ndarray:
-        """(N, K) bool mask, True where UE u owns RB k (derived, not stored)."""
+        """(N, K) bool mask, True where UE u owns RB k (derived once, on first
+        use, so rates and penalties share it)."""
         return self.rb_owner == np.arange(len(self.rb_requested))[:, None]
 
 
@@ -52,7 +54,8 @@ def action_dim(num_ues: int) -> int:
     return 2 * num_ues
 
 
-def sigmoid(x: float) -> float:
+def sigmoid(x):
+    """Elementwise logistic function of a float or an array."""
     with np.errstate(over="ignore"):  # exp(-x) = inf for x < -709 gives 0.0
         return 1.0 / (1.0 + np.exp(-x))
 
@@ -64,7 +67,9 @@ def decode_action(
 
     First half scales to requested RB counts, second half to per-UE power.
     RBs are handed out first-fit in ascending UE order until K is exhausted;
-    idle UEs are skipped entirely.
+    idle UEs are skipped entirely. UE u owns the RBs from the clipped running
+    total of the requests before it up to its own, so the owner of RB k is
+    the first UE whose running total exceeds k.
     """
     n, k = config.num_ues, config.num_rbs
     raw = np.asarray(raw, dtype=float)
@@ -72,22 +77,17 @@ def decode_action(
         raise ContractViolation(f"raw action must have length {2 * n}")
     if not np.isfinite(raw).all():
         raise ContractViolation("raw action has non-finite entries")
-    raw = np.clip(raw, -1.0, 1.0)
+    raw = np.minimum(np.maximum(raw, -1.0), 1.0)  # np.clip, for finite raw
 
     requested = np.rint((raw[:n] + 1.0) / 2.0 * k).astype(int)
     ue_power = config.p_min + (raw[n:] + 1.0) / 2.0 * (config.p_max - config.p_min)
     if idle_mask is not None:
-        requested = np.where(idle_mask, 0, requested)
+        requested[np.asarray(idle_mask, dtype=bool)] = 0
 
-    rb_owner = np.full(k, -1)
-    per_rb_power = np.zeros(k)
-    next_free = 0
-    for u in range(n):
-        take = min(requested[u], k - next_free)
-        if take > 0:
-            rb_owner[next_free : next_free + take] = u
-            per_rb_power[next_free : next_free + take] = ue_power[u]
-            next_free += take
+    ends = np.minimum(requested.cumsum(), k)
+    rb_owner = ends.searchsorted(np.arange(k), side="right")  # n past the last request
+    per_rb_power = np.concatenate((ue_power, [0.0]))[rb_owner]
+    rb_owner[rb_owner == n] = -1
     return AllocationAction(
         rb_owner=rb_owner,
         rb_requested=requested,
@@ -115,7 +115,10 @@ def qos_stats(report: RateReport, task: TaskSpec) -> np.ndarray:
     rates = report.per_ue_rate[report.active]
     if rates.size == 0:
         return np.full(3, task.demand_max)
-    return np.array([rates.mean(), rates.min(), rates.max()])
+    # Bitwise rates.mean(), .min() and .max(), without their dispatch overhead.
+    return np.array([
+        np.add.reduce(rates) / rates.size, np.minimum.reduce(rates), np.maximum.reduce(rates)
+    ])
 
 
 def qos_info(qos: np.ndarray) -> dict:
@@ -130,8 +133,8 @@ def compute_reward(qos: np.ndarray, penalties: tuple, task: TaskSpec) -> float:
     is compute_penalties(...) of the step's allocation.
     """
     q_norm = (qos[1] - task.demand_min) / (task.demand_max - task.demand_min)
-    p_c, k_r = penalties
-    return float(sigmoid(q_norm) - sigmoid(p_c) - sigmoid(k_r))
+    s = sigmoid(np.array([q_norm, *penalties]))  # elementwise, the same bits
+    return float(s[0] - s[1] - s[2])
 
 
 def encode_state(qos: np.ndarray, prev: AllocationAction, task: TaskSpec) -> np.ndarray:

@@ -223,6 +223,7 @@ def test_toy_profile_runs_are_byte_identical(tmp_path):
 # -- 7. DDPG sanity on a stationary toy task (< 10 min) -----------------------
 
 
+@pytest.mark.slow
 def test_ddpg_learns_on_stationary_single_ue_task():
     start = time.perf_counter()
     cfg = CellConfig(num_rbs=4, num_ues=1, cell_radius=60.0, num_neighbors=0)
@@ -258,6 +259,7 @@ def test_ddpg_learns_on_stationary_single_ue_task():
 # -- 8. meta-adaptation beats scratch on the toy profile (< 30 min) -----------
 
 
+@pytest.mark.slow
 def test_meta_adaptation_beats_scratch_on_toy_profile():
     start = time.perf_counter()
     cfg = harness.default_config("toy")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metaran import cell
+from metaran import cell, harness
 from metaran.cell import CellConfig, dbm_to_mw, mw_to_dbm
 from metaran.errors import ConfigurationError, ContractViolation
 from metaran.mdp import TaskSpec, decode_action, qos_stats, zero_allocation
@@ -128,6 +128,35 @@ def test_positions_stay_inside_disc_for_long_rollouts():
     for _ in range(1000):
         s = cell.step_mobility(s, c, dt=1.0, rng=rng)
         assert (np.linalg.norm(s.ue_positions, axis=1) <= c.cell_radius + 1e-9).all()
+
+
+MOBILITY_FOUND = (
+    "UE mobility in cell.step_mobility piles every UE up on the +x edge of the cell: "
+    "DIRECTIONS are absolute headings in [-pi/3, pi/3], so every UE drifts toward +x, "
+    "and a UE that crosses the edge is mirrored back and draws a new heading from the "
+    "same set, which points outward again (CHANGES.md FOUND, ROADMAP item 3)"
+)
+
+
+@pytest.mark.xfail(strict=True, reason=MOBILITY_FOUND)
+@pytest.mark.parametrize("profile", ["toy", "paper"])
+def test_mobility_keeps_ues_spread_over_the_disc(profile):
+    # A uniform disc puts 19% of UEs beyond 0.9R and has mean x = 0.
+    cfg = harness.default_config(profile)
+    horizon = cfg.hyper().horizon
+    beyond, mean_x, samples = 0, 0.0, 0
+    for c in (t.cell_config for t in cfg.donor_task_specs()):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            s = cell.reset(c, seed=rng)
+            for _ in range(horizon):  # one episode
+                s = cell.step_mobility(s, c, dt=1.0, rng=rng)
+                r = np.linalg.norm(s.ue_positions, axis=1) / c.cell_radius
+                beyond += int((r > 0.9).sum())
+                mean_x += float((s.ue_positions[:, 0] / c.cell_radius).sum())
+                samples += c.num_ues
+    assert 0.12 <= beyond / samples <= 0.30
+    assert abs(mean_x / samples) <= 0.1
 
 
 def test_mobility_rejects_nonpositive_dt():
