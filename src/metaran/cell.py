@@ -53,16 +53,11 @@ class CellConfig:
     neighbor_occupancy: float = 0.5
 
     def __post_init__(self):
-        if self.num_rbs <= 0 or self.num_ues <= 0:
-            raise ConfigurationError("num_rbs and num_ues must be positive")
+        for name in ("num_rbs", "num_ues", "rb_bandwidth", "path_loss_exp", "cell_radius"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
         if not (0 < self.p_min <= self.p_max):
             raise ConfigurationError("need 0 < p_min <= p_max")
-        if self.path_loss_exp <= 0:
-            raise ConfigurationError("path_loss_exp must be positive")
-        if self.rb_bandwidth <= 0:
-            raise ConfigurationError("rb_bandwidth must be positive")
-        if self.cell_radius <= 0:
-            raise ConfigurationError("cell_radius must be positive")
         if not (0.0 <= self.neighbor_occupancy <= 1.0):
             raise ConfigurationError("neighbor_occupancy must be in [0, 1]")
         if self.num_neighbors < 0:

@@ -177,15 +177,14 @@ class DdpgAgent:
 
     # -- acting ------------------------------------------------------------
 
-    def select_action(self, state: np.ndarray, explore: bool, rng=None) -> np.ndarray:
+    def select_action(self, state: np.ndarray, explore: bool) -> np.ndarray:
         """Actor output plus float64 Gaussian noise when exploring, clipped to
         [-1, 1], in the agent's dtype."""
         if len(state) != self.obs_dim:
             raise ContractViolation("state dimension does not match the actor")
         action, _ = nets.forward(self.actor, state)
         if explore and self.noise_std > 0:
-            r = rng if rng is not None else self.rng
-            action += r.normal(0.0, self.noise_std, size=self.act_dim)
+            action += self.rng.normal(0.0, self.noise_std, size=self.act_dim)
         return np.clip(action, -1.0, 1.0, out=action)
 
     def decay_noise(self) -> None:

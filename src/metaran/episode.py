@@ -1,9 +1,9 @@
 """Episode loop glue: a gym-style environment for one task.
 
-Per-step ordering: mobility -> traffic -> channel draw -> action decode ->
-rates -> QoS stats -> penalties -> reward -> observation. The observation
-handed to the agent therefore reflects the world after this step's dynamics
-and the agent's own last action.
+Per-step ordering: action check -> mobility -> traffic -> channel draw ->
+action decode -> rates -> QoS stats -> penalties -> reward -> observation.
+The observation handed to the agent therefore reflects the world after this
+step's dynamics and the agent's own last action.
 
 The step computes rates with `cell._rates`, which skips the post-hoc
 allocation check of the public `cell.compute_rates`: `mdp.decode_action`
@@ -24,34 +24,19 @@ from .mdp import TaskSpec
 class TaskEnv:
     """Single-task environment; all randomness comes from the given rng."""
 
-    def __init__(
-        self,
-        task: TaskSpec,
-        rng: np.random.Generator,
-        dt: float = 1.0,
-        stationary: bool = False,
-    ):
+    def __init__(self, task: TaskSpec, rng: np.random.Generator, stationary: bool = False):
         """stationary=True freezes mobility and traffic (every UE active at a
         fixed position); only fading varies. Used by sanity-check tasks."""
         self.task = task
         self.config = task.cell_config
         self.rng = rng
-        self.dt = dt
         self.stationary = stationary
         self.snapshot = None
         self.prev_alloc = None
 
-    @property
-    def observation_dim(self) -> int:
-        return mdp.observation_dim(self.config.num_ues)
-
-    @property
-    def action_dim(self) -> int:
-        return mdp.action_dim(self.config.num_ues)
-
-    def reset(self, seed=None) -> np.ndarray:
+    def reset(self) -> np.ndarray:
         """Start a fresh episode; returns the initial observation vector."""
-        self.snapshot = cell.reset(self.config, seed if seed is not None else self.rng)
+        self.snapshot = cell.reset(self.config, self.rng)
         if self.stationary:
             levels = np.full(self.config.num_ues, 2)  # all UEs at "mid"
             self.snapshot = replace(self.snapshot, traffic_levels=levels)
@@ -62,13 +47,16 @@ class TaskEnv:
         return mdp.encode_state(qos, self.prev_alloc, self.task)
 
     def step(self, raw_action: np.ndarray):
-        """Apply one raw actor output; returns (obs, reward, info)."""
+        """Apply one raw actor output; returns (obs, reward, info).
+
+        A bad action raises before any draw, so it leaves the env as it was."""
         if self.snapshot is None:
             raise ContractViolation("call reset() before step()")
+        raw_action = mdp.check_action(raw_action, self.config.num_ues)
         if self.stationary:
             s = self.snapshot
         else:
-            s = cell.step_mobility(self.snapshot, self.config, self.dt, self.rng)
+            s = cell.step_mobility(self.snapshot, self.config, 1.0, self.rng)  # 1 s steps
             s = cell.step_traffic(s, self.rng)
         ch = cell.sample_channel(s, self.config, self.rng)
         idle = ~s.active_mask

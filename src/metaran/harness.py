@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,17 +72,17 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigurationError("seeds: at least one seed is required")
-        if self.cell.p_min_dbm > self.cell.p_max_dbm:
-            raise ConfigurationError("cell.p_min_dbm must not exceed cell.p_max_dbm")
         if not self.tasks:
             raise ConfigurationError("tasks: at least one donor task is required")
-        for name, tb in [("new_task", self.new_task)] + [
-            (f"tasks[{i}]", t) for i, t in enumerate(self.tasks)
-        ]:
-            if not (0 <= tb.demand_min < tb.demand_max):
-                raise ConfigurationError(f"{name}: need 0 <= demand_min < demand_max")
-            if tb.num_rbs <= 0:
-                raise ConfigurationError(f"{name}: num_rbs must be positive")
+        # Build every runtime object here, so that the checks of CellConfig,
+        # TaskSpec and MetaSchedule reject a bad block at load. The cell block
+        # is checked on its own first (any valid num_rbs will do), so that a
+        # task's error names only the task's fields.
+        with _block("cell"):
+            self.cell_config(1)
+        self.donor_task_specs()
+        self.new_task_spec()
+        self.meta_schedule()
 
     # -- derived objects ---------------------------------------------------
 
@@ -100,37 +101,32 @@ class ExperimentConfig:
             neighbor_occupancy=c.neighbor_occupancy,
         )
 
+    def _task_spec(self, block: str, t: TaskBlock, task_id: int) -> TaskSpec:
+        with _block(block):
+            return TaskSpec(t.demand_min, t.demand_max, self.cell_config(t.num_rbs), task_id)
+
     def donor_task_specs(self) -> list:
-        return [
-            TaskSpec(
-                demand_min=t.demand_min,
-                demand_max=t.demand_max,
-                cell_config=self.cell_config(t.num_rbs),
-                task_id=i,
-            )
-            for i, t in enumerate(self.tasks)
-        ]
+        return [self._task_spec(f"tasks[{i}]", t, i) for i, t in enumerate(self.tasks)]
 
     def new_task_spec(self) -> TaskSpec:
-        t = self.new_task
-        return TaskSpec(
-            demand_min=t.demand_min,
-            demand_max=t.demand_max,
-            cell_config=self.cell_config(t.num_rbs),
-            task_id=len(self.tasks),
-        )
+        return self._task_spec("new_task", self.new_task, len(self.tasks))
 
     def meta_schedule(self) -> MetaSchedule:
-        return MetaSchedule(
-            outer_iters=self.schedule.outer_iters,
-            eval_episodes=self.schedule.eval_episodes,
-            num_tasks=len(self.tasks),
-            meta_actor_lr=self.schedule.meta_actor_lr,
-            meta_critic_lr=self.schedule.meta_critic_lr,
-        )
+        with _block("schedule"):
+            return MetaSchedule(num_tasks=len(self.tasks), **dataclasses.asdict(self.schedule))
 
     def hyper(self) -> Hyper:
         return self.agent
+
+
+@contextmanager
+def _block(name):
+    """Raise a ConfigurationError (or a TypeError from a bad field) with the
+    name of the config block in front."""
+    try:
+        yield
+    except (TypeError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
 
 
 def _from_dict(cls, data, path):
@@ -159,10 +155,8 @@ def _from_dict(cls, data, path):
         elif name in ("seeds", "hidden_sizes"):
             value = tuple(value)
         kwargs[name] = value
-    try:
+    with _block(path):
         return cls(**kwargs)
-    except (TypeError, ConfigurationError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -276,9 +270,6 @@ class MetricsLog:
             if r["method"] not in seen:
                 seen.append(r["method"])
         return seen
-
-    def seeds(self) -> list:
-        return sorted({r["seed"] for r in self.records})
 
     def select(self, **keys) -> list:
         return [r for r in self.records if all(r[k] == v for k, v in keys.items())]

@@ -60,6 +60,17 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def check_action(raw: np.ndarray, num_ues: int) -> np.ndarray:
+    """raw as a float vector, or ContractViolation unless it has length 2N
+    and finite entries."""
+    raw = np.asarray(raw, dtype=float)
+    if raw.shape != (2 * num_ues,):
+        raise ContractViolation(f"raw action must have length {2 * num_ues}")
+    if not np.isfinite(raw).all():
+        raise ContractViolation("raw action has non-finite entries")
+    return raw
+
+
 def decode_action(
     raw: np.ndarray, config: CellConfig, idle_mask: np.ndarray | None = None
 ) -> AllocationAction:
@@ -72,11 +83,7 @@ def decode_action(
     the first UE whose running total exceeds k.
     """
     n, k = config.num_ues, config.num_rbs
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape != (2 * n,):
-        raise ContractViolation(f"raw action must have length {2 * n}")
-    if not np.isfinite(raw).all():
-        raise ContractViolation("raw action has non-finite entries")
+    raw = check_action(raw, n)
     raw = np.minimum(np.maximum(raw, -1.0), 1.0)  # np.clip, for finite raw
 
     requested = np.rint((raw[:n] + 1.0) / 2.0 * k).astype(int)

@@ -6,7 +6,7 @@ gradient of its loss on a query sample evaluated at the adapted parameters.
 The meta parameters take one Adam step on the task-summed query gradients.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,10 +34,10 @@ class MetaSchedule:
     meta_critic_lr: float = 0.0
 
     def __post_init__(self):
-        if self.outer_iters < 1 or self.eval_episodes < 1 or self.num_tasks < 1:
-            raise ConfigurationError("schedule counts must be >= 1")
-        if self.meta_actor_lr < 0 or self.meta_critic_lr < 0:
-            raise ConfigurationError("meta step sizes must be >= 0")
+        for name, least in (("outer_iters", 1), ("eval_episodes", 1), ("num_tasks", 1),
+                            ("meta_actor_lr", 0), ("meta_critic_lr", 0)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be >= {least}")
 
     @property
     def adapt_budget(self) -> int:
@@ -51,8 +51,6 @@ class MetaModel:
     critic_vec: np.ndarray
     actor_opt: nets.AdamState
     critic_opt: nets.AdamState
-    actor_sizes: tuple
-    critic_sizes: tuple
 
 
 def init_meta_model(
@@ -75,8 +73,6 @@ def init_meta_model(
             actor.flat, lr=actor_lr if actor_lr > 0 else hyper.effective_actor_lr
         ),
         critic_opt=nets.init_adam(critic.flat, lr=critic_lr if critic_lr > 0 else hyper.lr),
-        actor_sizes=actor_sizes,
-        critic_sizes=critic_sizes,
     )
 
 
@@ -180,14 +176,13 @@ def inner_adapt(
     hyper: Hyper,
     seed: int,
     stream: str = "adapt",
-    eval_episodes: int = ADAPT_EVAL_EPISODES,
 ):
     """Initialize an agent from the meta parameters and train it on the task.
 
     Returns (agent, trace) where trace holds one record per adaptation shot:
-    the mean greedy evaluation return and mean QoS stats over eval_episodes
-    evaluation episodes (averaging tames episode-to-episode traffic noise
-    without touching the training trajectory).
+    the mean greedy evaluation return and mean QoS stats over
+    ADAPT_EVAL_EPISODES evaluation episodes (averaging tames episode-to-episode
+    traffic noise without touching the training trajectory).
     """
     obs_dim = mdp.observation_dim(task.cell_config.num_ues)
     act_dim = mdp.action_dim(task.cell_config.num_ues)
@@ -199,7 +194,7 @@ def inner_adapt(
     trace = []
     for shot in range(1, budget + 1):
         run_episode(agent, env, hyper.horizon, explore=True, train=True)
-        evaluation = evaluate_policy(agent, eval_env, eval_episodes, hyper.horizon)
+        evaluation = evaluate_policy(agent, eval_env, ADAPT_EVAL_EPISODES, hyper.horizon)
         trace.append({"shot": shot, **evaluation})
     return agent, trace
 
@@ -254,14 +249,8 @@ def run_baseline(
         donor = donor_tasks[0]
         init = random_init_model(donor, hyper, seed)
         donor_agent, _ = inner_adapt(init, donor, donor_budget, hyper, seed, stream="tl-donor")
-        donor_model = MetaModel(
-            actor_vec=donor_agent.actor_vector(),
-            critic_vec=donor_agent.critic_vector(),
-            actor_opt=init.actor_opt,
-            critic_opt=init.critic_opt,
-            actor_sizes=init.actor_sizes,
-            critic_sizes=init.critic_sizes,
-        )
+        donor_model = replace(init, actor_vec=donor_agent.actor_vector(),
+                              critic_vec=donor_agent.critic_vector())
         return inner_adapt(donor_model, new_task, budget, hyper, seed)
 
     if kind == "mtl":
@@ -291,8 +280,7 @@ def run_baseline(
 
 def save_meta_model(path, meta: MetaModel) -> None:
     nets.save_checkpoint(
-        path,
-        {"actor_sizes": list(meta.actor_sizes), "critic_sizes": list(meta.critic_sizes)},
+        path, {},
         actor_vec=meta.actor_vec,
         critic_vec=meta.critic_vec,
         actor_opt=meta.actor_opt,
@@ -301,9 +289,7 @@ def save_meta_model(path, meta: MetaModel) -> None:
 
 
 def load_meta_model(path) -> MetaModel:
-    header, arrays = nets.load_checkpoint(path)
-    return MetaModel(
-        actor_sizes=tuple(header["actor_sizes"]),
-        critic_sizes=tuple(header["critic_sizes"]),
-        **arrays,
-    )
+    # Older version-2 files also carry actor_sizes and critic_sizes in the
+    # header; the layer sizes follow from the config, so they are not read.
+    _, arrays = nets.load_checkpoint(path)
+    return MetaModel(**arrays)

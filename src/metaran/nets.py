@@ -59,9 +59,6 @@ class DenseNetwork:
         """Canonical list [W1, b1, W2, b2, ...] (views into flat)."""
         return [p for wb in zip(self.weights, self.biases) for p in wb]
 
-    def num_parameters(self) -> int:
-        return self.flat.size
-
     def copy(self) -> "DenseNetwork":
         return DenseNetwork(self.layer_sizes, self.flat.copy(), self.output_activation)
 

@@ -7,12 +7,13 @@ import importlib
 import importlib.util
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metaran import ddpg, harness, mdp, meta
+from metaran import ddpg, harness, mdp, meta, nets
 from metaran.cell import CellConfig
 from metaran.errors import ConfigurationError
 
@@ -86,6 +87,55 @@ def test_config_agent_block_is_checked_at_load(tmp_path, key, value):
         harness.load_config(_edited_config(tmp_path, "agent", key, value))
 
 
+@pytest.mark.parametrize(
+    "block, key, value, field",
+    [
+        ("cell", "num_ues", 0, "num_ues"),
+        ("cell", "neighbor_occupancy", 2.0, "neighbor_occupancy"),
+        ("cell", "path_loss_exp", -1.0, "path_loss_exp"),
+        ("cell", "rb_bandwidth", 0.0, "rb_bandwidth"),
+        ("cell", "cell_radius_m", -5.0, "cell_radius"),  # CellConfig.cell_radius
+        ("cell", "p_min_dbm", 9.0, "p_min"),  # above p_max_dbm
+        ("schedule", "outer_iters", 0, "outer_iters"),
+        ("schedule", "meta_actor_lr", -1.0, "meta_actor_lr"),
+    ],
+)
+def test_config_blocks_are_checked_at_load(tmp_path, block, key, value, field):
+    with pytest.raises(ConfigurationError) as info:
+        harness.load_config(_edited_config(tmp_path, block, key, value))
+    assert f"{block}: " in str(info.value) and field in str(info.value)
+
+
+@pytest.mark.parametrize("block", ["tasks", "new_task"])
+def test_task_blocks_are_checked_at_load(tmp_path, block):
+    data = dataclasses.asdict(harness.default_config("toy"))
+    task = data[block][1] if block == "tasks" else data[block]
+    task["num_rbs"] = 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    name = "tasks[1]" if block == "tasks" else block
+    with pytest.raises(ConfigurationError, match=rf"{re.escape(name)}: num_rbs"):
+        harness.load_config(path)
+
+
+CONFIG_FILE_KEYS = {
+    "cell": ["num_ues", "rb_bandwidth", "p_min_dbm", "p_max_dbm", "path_loss_exp",
+             "noise_psd_dbm_hz", "cell_radius_m", "num_neighbors", "neighbor_occupancy"],
+    "schedule": ["outer_iters", "eval_episodes", "meta_actor_lr", "meta_critic_lr"],
+    "new_task": ["num_rbs", "demand_min", "demand_max"],
+}
+
+
+@pytest.mark.parametrize("profile", ["toy", "paper"])
+def test_config_file_keeps_its_block_keys(tmp_path, profile):
+    path = tmp_path / "config.json"
+    harness.save_config(path, harness.default_config(profile))
+    data = json.loads(path.read_text())
+    for block, keys in CONFIG_FILE_KEYS.items():
+        assert list(data[block]) == keys, block
+    assert data["tasks"] and all(list(t) == CONFIG_FILE_KEYS["new_task"] for t in data["tasks"])
+
+
 @pytest.mark.parametrize("dtype", ["float16", "double", "", None])
 def test_hyper_rejects_unknown_dtypes(dtype):
     with pytest.raises(ConfigurationError, match="dtype"):
@@ -147,6 +197,34 @@ def test_loaders_reject_other_checkpoint_versions(tmp_path, save, load, edit):
     _rewrite_header(path, edit)
     with pytest.raises(ConfigurationError):
         load(path)
+
+
+def test_meta_checkpoint_with_layer_sizes_still_loads(tmp_path):
+    # Version-2 meta checkpoints written before the sizes were dropped carry
+    # actor_sizes and critic_sizes in the header.
+    m = meta.init_meta_model(3, 2, ddpg.Hyper(hidden_sizes=(8,)), seed=0)
+    meta.apply_meta_update(m, np.ones_like(m.actor_vec), np.ones_like(m.critic_vec))
+    path = tmp_path / "old.npz"
+    nets.save_checkpoint(
+        path, {"actor_sizes": [3, 8, 2], "critic_sizes": [5, 8, 1]},
+        actor_vec=m.actor_vec, critic_vec=m.critic_vec,
+        actor_opt=m.actor_opt, critic_opt=m.critic_opt,
+    )
+    back = meta.load_meta_model(path)
+    for name in ("actor_vec", "critic_vec"):
+        assert np.array_equal(getattr(back, name), getattr(m, name))
+    for name in ("actor_opt", "critic_opt"):
+        old, new = getattr(m, name), getattr(back, name)
+        assert np.array_equal(new.m, old.m) and np.array_equal(new.v, old.v)
+        assert vars(new).keys() == vars(old).keys()
+        assert all(getattr(new, k) == getattr(old, k) for k in vars(old) if k not in ("m", "v"))
+
+
+def test_meta_checkpoint_header_has_no_layer_sizes(tmp_path):
+    path = tmp_path / "meta.npz"
+    _meta_checkpoint(path)
+    header, _ = nets.load_checkpoint(path)
+    assert set(header) == {"format_version"}
 
 
 @pytest.mark.parametrize("load", [ddpg.load_agent, meta.load_meta_model])

@@ -307,7 +307,31 @@ def test_step_before_reset_raises_contract_violation():
     task = harness.default_config("toy").donor_task_specs()[0]
     env = TaskEnv(task, np.random.default_rng(0))
     with pytest.raises(ContractViolation, match="reset"):
-        env.step(np.zeros(env.action_dim))
+        env.step(np.zeros(mdp.action_dim(task.cell_config.num_ues)))
+
+
+def test_rejected_action_leaves_the_env_untouched():
+    task = harness.default_config("toy").donor_task_specs()[0]
+    n = task.cell_config.num_ues
+    env, twin = (TaskEnv(task, np.random.default_rng(4)) for _ in range(2))
+    env.reset()
+    twin.reset()
+    for t, bad in enumerate([np.full(2 * n, np.nan), np.zeros(9), np.zeros((2, n))]):
+        rng_state, snapshot, prev_alloc = env.rng.bit_generator.state, env.snapshot, env.prev_alloc
+        with pytest.raises(ContractViolation, match="raw action"):
+            env.step(bad)
+        assert env.rng.bit_generator.state == rng_state
+        assert env.snapshot is snapshot and env.prev_alloc is prev_alloc
+        assert env.snapshot.time_index == t
+        good = np.random.default_rng(t).uniform(-1, 1, 2 * n)
+        (obs, reward, info), (t_obs, t_reward, t_info) = env.step(good), twin.step(good)
+        assert _bits(obs) == _bits(t_obs)
+        assert _bits(np.float64(reward)) == _bits(np.float64(t_reward))
+        assert info.keys() == t_info.keys()
+        for key in info:
+            assert _bits(np.float64(info[key])) == _bits(np.float64(t_info[key])), key
+        _assert_same_state(env, twin)
+    assert env.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 def test_allocation_mask_is_built_once_per_allocation():

@@ -142,7 +142,7 @@ def fake_log():
 def test_metrics_selection_helpers():
     log = fake_log()
     assert log.methods() == ["meta", "scratch"]
-    assert log.seeds() == [0, 1]
+    assert {r["seed"] for r in log.records} == {0, 1}
     assert len(log.select(method="meta", seed=0)) == 3
 
 

@@ -60,9 +60,8 @@ def test_schedule_validation_and_budget():
 def test_meta_model_shapes_and_step_sizes():
     h = tiny_hyper(actor_lr=2e-4)
     m = init_meta_model(7, 4, h, seed=0)
-    assert m.actor_sizes == (7, 8, 4)
-    assert m.critic_sizes == (11, 8, 1)
     assert m.actor_vec.shape == (7 * 8 + 8 + 8 * 4 + 4,)
+    assert m.critic_vec.shape == (11 * 8 + 8 + 8 * 1 + 1,)
     # Defaults reuse the inner step sizes; explicit values override them.
     assert m.actor_opt.lr == 2e-4 and m.critic_opt.lr == 1e-3
     m2 = init_meta_model(7, 4, h, seed=0, actor_lr=5e-5, critic_lr=7e-3)
@@ -350,8 +349,7 @@ def test_save_load_meta_model_round_trip(tmp_path):
     path = tmp_path / "meta.npz"
     save_meta_model(path, m)
     back = load_meta_model(path)
-    assert back.actor_sizes == m.actor_sizes
-    assert back.critic_sizes == m.critic_sizes
+    assert back.critic_vec.shape == (7 * 8 + 8 + 8 * 1 + 1,)
     assert np.array_equal(back.actor_vec, m.actor_vec)
     assert np.array_equal(back.critic_vec, m.critic_vec)
     assert back.actor_opt.step_count == 1

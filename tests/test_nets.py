@@ -45,7 +45,7 @@ def test_parameter_count_matches_closed_form():
     expected = sum(
         fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
     )
-    assert net.num_parameters() == expected == 283_402
+    assert net.flat.size == expected == 283_402
 
 
 @pytest.mark.parametrize("sizes", [(5,), (0, 3), (3, -1, 2)])
@@ -358,7 +358,7 @@ def test_float32_network_computes_in_float32():
     nets.adam_step(net.flat, grads, state)
     nets.soft_update(net.flat, net.flat.copy(), 0.5)
     assert net.flat.dtype == state.m.dtype == state.v.dtype == np.float32
-    nets.set_params_from_vector(net, np.zeros(net.num_parameters()))
+    nets.set_params_from_vector(net, np.zeros(net.flat.size))
     assert net.flat.dtype == np.float32 and not net.flat.any()
 
 
