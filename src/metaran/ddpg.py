@@ -48,8 +48,13 @@ class Hyper:
             raise ConfigurationError(
                 f"dtype must be one of {nets.DTYPES}, got {self.dtype!r}"
             )
-        if self.buffer_capacity % 2 != 0:
-            raise ConfigurationError("buffer_capacity must be even")
+        for name in ("batch_size", "horizon"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        if any(size < 1 for size in self.hidden_sizes):
+            raise ConfigurationError("hidden_sizes must all be >= 1")
+        if self.buffer_capacity <= 0 or self.buffer_capacity % 2 != 0:
+            raise ConfigurationError("buffer_capacity must be positive and even")
 
     @property
     def effective_actor_lr(self) -> float:
@@ -114,40 +119,23 @@ def sample_batch(
     )
 
 
-# The learner: what a DdpgAgent shares with the agents bound to it.
-LEARNER = ("actor", "critic", "target_actor", "target_critic", "actor_opt", "critic_opt")
-
-
 class DdpgAgent:
-    """Actor-critic pair with target networks and Gaussian exploration.
+    """Actor-critic pair with target networks and Gaussian exploration."""
 
-    With learner=other the agent is bound to other's learner (the LEARNER
-    attributes are the same objects) and owns only its replay buffer, rng
-    and noise level. It still draws its two network-init seeds from rng, so
-    its exploration and sampling streams equal an unbound agent's.
-    """
-
-    def __init__(self, obs_dim: int, act_dim: int, hyper: Hyper, rng: np.random.Generator,
-                 learner: "DdpgAgent | None" = None):
+    def __init__(self, obs_dim: int, act_dim: int, hyper: Hyper, rng: np.random.Generator):
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.hyper = hyper
         self.rng = rng
         actor_seed, critic_seed = (int(rng.integers(2**31)) for _ in range(2))
-        if learner is not None:
-            if (learner.obs_dim, learner.act_dim, learner.hyper) != (obs_dim, act_dim, hyper):
-                raise ContractViolation("a bound agent must match its learner's dims and hyper")
-            for name in LEARNER:
-                setattr(self, name, getattr(learner, name))
-        else:
-            actor_sizes = (obs_dim, *hyper.hidden_sizes, act_dim)
-            critic_sizes = (obs_dim + act_dim, *hyper.hidden_sizes, 1)
-            self.actor = nets.init_network(actor_sizes, actor_seed, "tanh", hyper.dtype)
-            self.critic = nets.init_network(critic_sizes, critic_seed, "identity", hyper.dtype)
-            self.target_actor = self.actor.copy()
-            self.target_critic = self.critic.copy()
-            self.actor_opt = nets.init_adam(self.actor.flat, lr=hyper.effective_actor_lr)
-            self.critic_opt = nets.init_adam(self.critic.flat, lr=hyper.lr)
+        actor_sizes = (obs_dim, *hyper.hidden_sizes, act_dim)
+        critic_sizes = (obs_dim + act_dim, *hyper.hidden_sizes, 1)
+        self.actor = nets.init_network(actor_sizes, actor_seed, "tanh", hyper.dtype)
+        self.critic = nets.init_network(critic_sizes, critic_seed, "identity", hyper.dtype)
+        self.target_actor = self.actor.copy()
+        self.target_critic = self.critic.copy()
+        self.actor_opt = nets.init_adam(self.actor.flat, lr=hyper.effective_actor_lr)
+        self.critic_opt = nets.init_adam(self.critic.flat, lr=hyper.lr)
         self.buffer = ReplayBuffer(hyper.buffer_capacity, obs_dim, act_dim, hyper.dtype)
         self.noise_std = hyper.noise_std
 

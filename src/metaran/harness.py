@@ -129,8 +129,13 @@ def _block(name):
         raise ConfigurationError(f"{name}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _from_dict(cls, data, path):
-    """Build a dataclass from a dict, rejecting unknown keys."""
+    """Build a dataclass from a dict, rejecting unknown keys and values whose
+    JSON type does not fit the field (a bool is not a number)."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: expected an object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -139,21 +144,21 @@ def _from_dict(cls, data, path):
         raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        sub = f"{path}.{name}"
-        if name == "cell":
-            value = _from_dict(CellBlock, value, sub)
-        elif name == "schedule":
-            value = _from_dict(ScheduleBlock, value, sub)
-        elif name == "agent":
-            value = _from_dict(Hyper, value, sub)
-        elif name == "new_task":
-            value = _from_dict(TaskBlock, value, sub)
+        sub, kind = f"{path}.{name}", fields[name].type
+        if dataclasses.is_dataclass(kind):
+            value = _from_dict(kind, value, sub)
         elif name == "tasks":
             value = tuple(
                 _from_dict(TaskBlock, v, f"{sub}[{i}]") for i, v in enumerate(value)
             )
         elif name in ("seeds", "hidden_sizes"):
+            if not (isinstance(value, list) and all(map(_is_int, value))):
+                raise ConfigurationError(f"{path}: {name} must be a list of integers")
             value = tuple(value)
+        elif kind in (int, float) and not (
+                _is_int(value) or kind is float and isinstance(value, float)):
+            want = "an integer" if kind is int else "a number"
+            raise ConfigurationError(f"{path}: {name} must be {want}, got {value!r}")
         kwargs[name] = value
     with _block(path):
         return cls(**kwargs)

@@ -1,9 +1,10 @@
 """Meta-training loop (first-order MAML over DDPG learners) and baselines.
 
-Outer loop: every task agent restarts from the shared meta parameters, trains
-for a few episodes on its own environment (support samples), then reports the
-gradient of its loss on a query sample evaluated at the adapted parameters.
-The meta parameters take one Adam step on the task-summed query gradients.
+Outer loop: for each task in turn, one learner restarts from the shared meta
+parameters, trains for a few episodes on the task's own environment and replay
+buffer (support samples), then reports the gradient of its loss on a query
+sample evaluated at the adapted parameters. The meta parameters take one Adam
+step on the task-summed query gradients.
 """
 
 from dataclasses import dataclass, replace
@@ -11,7 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mdp, nets
-from .ddpg import BufferNotReady, DdpgAgent, Hyper, evaluate_policy, run_episode, sample_batch
+from .ddpg import (BufferNotReady, DdpgAgent, Hyper, ReplayBuffer, evaluate_policy,
+                   run_episode, sample_batch)
 from .episode import TaskEnv
 from .errors import ConfigurationError, TrainingDivergence
 from .mdp import TaskSpec
@@ -76,6 +78,27 @@ def init_meta_model(
     )
 
 
+def task_dims(task: TaskSpec) -> tuple:
+    """(observation, action) dimensions of the task's MDP."""
+    return mdp.observation_dim(task.cell_config.num_ues), mdp.action_dim(task.cell_config.num_ues)
+
+
+class TaskState:
+    """What one meta-train task owns; the learner and meta model are shared.
+
+    rng draws the task's exploration noise and support batches. It first makes
+    the two network-init draws of a DdpgAgent, so it reads what such an agent
+    on the same stream would."""
+
+    def __init__(self, task: TaskSpec, hyper: Hyper, seed: int):
+        self.env = TaskEnv(task, derive_rng(seed, "meta-train", "env", task.task_id))
+        self.buffer = ReplayBuffer(hyper.buffer_capacity, *task_dims(task), hyper.dtype)
+        self.rng = derive_rng(seed, "meta-train", "agent", task.task_id)
+        self.rng.integers(2**31), self.rng.integers(2**31)
+        self.noise_std = hyper.noise_std
+        self.query_rng = derive_rng(seed, "meta-train", "query", task.task_id)
+
+
 def query_gradients(agent: DdpgAgent, rng: np.random.Generator):
     """Flat (actor, critic) loss gradients on a query batch at the adapted
     parameters, or None while the buffer is still warming up."""
@@ -118,18 +141,18 @@ def meta_train(
 ) -> MetaModel:
     """Run the full meta-training loop and return the trained meta model.
 
-    The task agents are bound to one learner, which each task reloads from
-    the meta parameters (DdpgAgent.load_vectors) right before its episodes.
-    on_outer_start(iteration, meta, agents) is invoked after the first task's
-    reload, so it sees every agent at the meta parameters; the agents share
-    one actor, critic, target pair and optimizer pair.
+    One DdpgAgent, the learner, serves the tasks in turn: it takes on the
+    task's TaskState (buffer, rng, noise_std), reloads the meta parameters
+    (DdpgAgent.load_vectors) and runs the task's episodes, and the decayed
+    noise_std goes back to the task. on_outer_start(iteration, meta, learner)
+    is invoked once per outer iteration, after the first task's reload, so it
+    sees the learner at the meta parameters.
     """
     if len(tasks) != schedule.num_tasks:
         raise ConfigurationError(
             f"expected {schedule.num_tasks} tasks, got {len(tasks)}"
         )
-    dims = {(mdp.observation_dim(t.cell_config.num_ues),
-             mdp.action_dim(t.cell_config.num_ues)) for t in tasks}
+    dims = {task_dims(t) for t in tasks}
     if len(dims) != 1:
         raise ConfigurationError("tasks must share observation/action dimensions")
     obs_dim, act_dim = dims.pop()
@@ -138,30 +161,20 @@ def meta_train(
         obs_dim, act_dim, hyper, derive_seed(seed, "meta-init"),
         actor_lr=schedule.meta_actor_lr, critic_lr=schedule.meta_critic_lr,
     )
-    envs = [
-        TaskEnv(task, derive_rng(seed, "meta-train", "env", task.task_id))
-        for task in tasks
-    ]
-    agents = []
-    for task in tasks:
-        agents.append(DdpgAgent(obs_dim, act_dim, hyper,
-                                derive_rng(seed, "meta-train", "agent", task.task_id),
-                                learner=agents[0] if agents else None))
-    query_rngs = [
-        derive_rng(seed, "meta-train", "query", task.task_id) for task in tasks
-    ]
+    learner = DdpgAgent(obs_dim, act_dim, hyper, derive_rng(seed, "meta-train", "learner"))
+    states = [TaskState(task, hyper, seed) for task in tasks]
 
     for it in range(1, schedule.outer_iters + 1):
-        agents[0].load_vectors(meta.actor_vec, meta.critic_vec)
-        if on_outer_start is not None:
-            on_outer_start(it, meta, agents)
         g_actor = g_critic = None
-        for i, (env, agent, qrng) in enumerate(zip(envs, agents, query_rngs)):
-            if i > 0:  # the first task's reload ran before the hook
-                agent.load_vectors(meta.actor_vec, meta.critic_vec)
+        for i, task in enumerate(states):
+            learner.buffer, learner.rng, learner.noise_std = task.buffer, task.rng, task.noise_std
+            learner.load_vectors(meta.actor_vec, meta.critic_vec)
+            if i == 0 and on_outer_start is not None:
+                on_outer_start(it, meta, learner)
             for _ in range(schedule.eval_episodes):
-                run_episode(agent, env, hyper.horizon, explore=True, train=True)
-            grads = query_gradients(agent, qrng)
+                run_episode(learner, task.env, hyper.horizon, explore=True, train=True)
+            task.noise_std = learner.noise_std
+            grads = query_gradients(learner, task.query_rng)
             if grads is not None:
                 g_actor = accumulate(g_actor, grads[0])
                 g_critic = accumulate(g_critic, grads[1])
@@ -184,19 +197,21 @@ def inner_adapt(
     ADAPT_EVAL_EPISODES evaluation episodes (averaging tames episode-to-episode
     traffic noise without touching the training trajectory).
     """
-    obs_dim = mdp.observation_dim(task.cell_config.num_ues)
-    act_dim = mdp.action_dim(task.cell_config.num_ues)
-    agent = DdpgAgent(obs_dim, act_dim, hyper,
-                      derive_rng(seed, stream, "agent", task.task_id))
+    agent = DdpgAgent(*task_dims(task), hyper, derive_rng(seed, stream, "agent", task.task_id))
     agent.load_vectors(meta.actor_vec, meta.critic_vec)
     env = TaskEnv(task, derive_rng(seed, stream, "env", task.task_id))
     eval_env = TaskEnv(task, derive_rng(seed, stream, "eval-env", task.task_id))
+    return agent, _shots(agent, [env] * budget, eval_env)
+
+
+def _shots(agent: DdpgAgent, envs: list, eval_env: TaskEnv) -> list:
+    """Per env in turn, one training episode and then a greedy evaluation."""
     trace = []
-    for shot in range(1, budget + 1):
-        run_episode(agent, env, hyper.horizon, explore=True, train=True)
-        evaluation = evaluate_policy(agent, eval_env, ADAPT_EVAL_EPISODES, hyper.horizon)
+    for shot, env in enumerate(envs, start=1):
+        run_episode(agent, env, agent.hyper.horizon, explore=True, train=True)
+        evaluation = evaluate_policy(agent, eval_env, ADAPT_EVAL_EPISODES, agent.hyper.horizon)
         trace.append({"shot": shot, **evaluation})
-    return agent, trace
+    return trace
 
 
 def meta_adapt_new(meta: MetaModel, new_task: TaskSpec, schedule: MetaSchedule,
@@ -207,9 +222,7 @@ def meta_adapt_new(meta: MetaModel, new_task: TaskSpec, schedule: MetaSchedule,
 
 def random_init_model(task: TaskSpec, hyper: Hyper, seed: int) -> MetaModel:
     """Untrained meta model (used so scratch shares the adaptation code path)."""
-    obs_dim = mdp.observation_dim(task.cell_config.num_ues)
-    act_dim = mdp.action_dim(task.cell_config.num_ues)
-    return init_meta_model(obs_dim, act_dim, hyper, derive_seed(seed, "scratch-init"))
+    return init_meta_model(*task_dims(task), hyper, derive_seed(seed, "scratch-init"))
 
 
 def mtl_schedule(budget: int) -> list:
@@ -243,9 +256,10 @@ def run_baseline(
         init = random_init_model(new_task, hyper, seed)
         return inner_adapt(init, new_task, budget, hyper, seed)
 
+    if kind in ("tl", "mtl") and not donor_tasks:
+        raise ConfigurationError(f"{kind} needs a donor task")
+
     if kind == "tl":
-        if not donor_tasks:
-            raise ConfigurationError("transfer learning needs a donor task")
         donor = donor_tasks[0]
         init = random_init_model(donor, hyper, seed)
         donor_agent, _ = inner_adapt(init, donor, donor_budget, hyper, seed, stream="tl-donor")
@@ -254,23 +268,14 @@ def run_baseline(
         return inner_adapt(donor_model, new_task, budget, hyper, seed)
 
     if kind == "mtl":
-        if not donor_tasks:
-            raise ConfigurationError("multi-task learning needs a donor task")
         rng = derive_rng(seed, "mtl", "task-pick")
         donor = donor_tasks[int(rng.integers(len(donor_tasks)))]
-        obs_dim = mdp.observation_dim(new_task.cell_config.num_ues)
-        act_dim = mdp.action_dim(new_task.cell_config.num_ues)
-        agent = DdpgAgent(obs_dim, act_dim, hyper, derive_rng(seed, "mtl", "agent"))
+        agent = DdpgAgent(*task_dims(new_task), hyper, derive_rng(seed, "mtl", "agent"))
         donor_env = TaskEnv(donor, derive_rng(seed, "mtl", "donor-env"))
         new_env = TaskEnv(new_task, derive_rng(seed, "mtl", "new-env"))
         eval_env = TaskEnv(new_task, derive_rng(seed, "mtl", "eval-env"))
-        trace = []
-        for shot, which in enumerate(mtl_schedule(budget), start=1):
-            env = new_env if which == "new" else donor_env
-            run_episode(agent, env, hyper.horizon, explore=True, train=True)
-            evaluation = evaluate_policy(agent, eval_env, ADAPT_EVAL_EPISODES, hyper.horizon)
-            trace.append({"shot": shot, **evaluation})
-        return agent, trace
+        envs = [new_env if which == "new" else donor_env for which in mtl_schedule(budget)]
+        return agent, _shots(agent, envs, eval_env)
 
     raise ConfigurationError(f"unknown baseline kind {kind!r}")
 

@@ -316,11 +316,10 @@ def test_structural_properties_of_meta_loop():
     assert np.array_equal(agent.actor_vector(), model.actor_vec)
     assert np.array_equal(agent.critic_vector(), model.critic_vec)
 
-    # (b) Task agents start every outer iteration at the meta parameters.
-    def hook(it, m, agents):
-        for a in agents:
-            assert np.array_equal(a.actor_vector(), m.actor_vec)
-            assert np.array_equal(a.critic_vector(), m.critic_vec)
+    # (b) The learner starts every outer iteration at the meta parameters.
+    def hook(it, m, learner):
+        assert np.array_equal(learner.actor_vector(), m.actor_vec)
+        assert np.array_equal(learner.critic_vector(), m.critic_vec)
 
     schedule = meta.MetaSchedule(outer_iters=3, eval_episodes=3, num_tasks=1)
     meta.meta_train([task], schedule, hyper, seed=1, on_outer_start=hook)

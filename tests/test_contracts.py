@@ -37,8 +37,18 @@ def test_every_traced_span_resolves_on_the_package():
             assert hasattr(owner, part), f"{name}: metaran.{module_name}.{path} is gone"
             owner = getattr(owner, part)
         assert callable(owner), name
-    # The outer-iteration span hooks into meta_train's public callback.
+    # The outer-iteration span hooks into meta_train's public callback, which
+    # the tracer's wrapper passes through with exactly three positional
+    # arguments, once per outer iteration.
     assert "on_outer_start" in inspect.signature(meta.meta_train).parameters
+    cfg = CellConfig(num_rbs=4, num_ues=2, num_neighbors=1, cell_radius=100.0)
+    tasks = [mdp.TaskSpec(1e5, 1e6, cfg, task_id) for task_id in (0, 1)]
+    hyper = ddpg.Hyper(batch_size=4, buffer_capacity=64, horizon=3, hidden_sizes=(4,))
+    calls = []
+    meta.meta_train(tasks, meta.MetaSchedule(outer_iters=3, eval_episodes=1, num_tasks=2),
+                    hyper, seed=0, on_outer_start=lambda *args, **kw: calls.append((args, kw)))
+    assert [(len(args), kw) for args, kw in calls] == [(3, {})] * 3
+    assert [args[0] for args, _ in calls] == [1, 2, 3]
 
 
 def test_benchmark_owner_vector_reads_the_decoded_owners():
@@ -80,10 +90,13 @@ def test_config_naming_subcarrier_spacing_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("gamma", 1.0), ("buffer_capacity", 101), ("dtype", "float16")]
+    "key, value",
+    [("gamma", 1.0), ("buffer_capacity", 101), ("dtype", "float16"),
+     ("buffer_capacity", 0), ("buffer_capacity", -2), ("batch_size", 0),
+     ("horizon", -1), ("hidden_sizes", [0])],
 )
 def test_config_agent_block_is_checked_at_load(tmp_path, key, value):
-    with pytest.raises(ConfigurationError, match="config.agent"):
+    with pytest.raises(ConfigurationError, match=f"config.agent: {key}"):
         harness.load_config(_edited_config(tmp_path, "agent", key, value))
 
 
@@ -104,6 +117,28 @@ def test_config_blocks_are_checked_at_load(tmp_path, block, key, value, field):
     with pytest.raises(ConfigurationError) as info:
         harness.load_config(_edited_config(tmp_path, block, key, value))
     assert f"{block}: " in str(info.value) and field in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        (None, "seeds", "01"),  # would load as the seeds '0' and '1'
+        (None, "seeds", [True]),
+        ("schedule", "outer_iters", 2.5),
+        ("cell", "num_ues", 2.5),
+        ("new_task", "num_rbs", 4.5),
+        ("agent", "batch_size", 8.0),
+    ],
+)
+def test_config_values_of_the_wrong_type_are_rejected_at_load(tmp_path, block, key, value):
+    data = dataclasses.asdict(harness.default_config("toy"))
+    (data[block] if block else data)[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigurationError) as info:
+        harness.load_config(path)
+    where = f"config.{block}" if block else "config"
+    assert f"{where}: {key} must be" in str(info.value)
 
 
 @pytest.mark.parametrize("block", ["tasks", "new_task"])

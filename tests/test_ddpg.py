@@ -333,21 +333,6 @@ def test_load_vectors_reloads_in_place():
         assert opt.step_count == 0 and opt.lr == lr
 
 
-def test_bound_agent_shares_the_learner_and_keeps_its_streams():
-    learner = make_agent(seed=1)
-    bound = DdpgAgent(3, 2, tiny_hyper(), np.random.default_rng(5), learner=learner)
-    alone = make_agent(seed=5)
-    for name in ("actor", "critic", "target_actor", "target_critic",
-                 "actor_opt", "critic_opt"):
-        assert getattr(bound, name) is getattr(learner, name)
-    assert bound.buffer is not learner.buffer and bound.rng is not learner.rng
-    assert bound.rng.bit_generator.state == alone.rng.bit_generator.state
-    with pytest.raises(ContractViolation):
-        DdpgAgent(4, 2, tiny_hyper(), np.random.default_rng(5), learner=learner)
-    with pytest.raises(ContractViolation):
-        DdpgAgent(3, 2, tiny_hyper(lr=0.5), np.random.default_rng(5), learner=learner)
-
-
 def test_warmup_gate_blocks_updates():
     agent = make_agent(warmup_transitions=10_000)
     env = ConstantRewardEnv(3)

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from metaran import nets
+from metaran import meta as meta_mod, nets
 from metaran.cell import CellConfig
 from metaran.ddpg import (
     Batch,
@@ -95,20 +95,32 @@ def test_train_step_keeps_every_array_float32():
                     "a_grads": a_grads})
 
 
-def test_meta_outer_iteration_keeps_every_array_float32():
+def test_meta_outer_iteration_keeps_every_array_float32(monkeypatch):
     tasks = [tiny_task(4, 0), tiny_task(6, 1)]
     schedule = MetaSchedule(outer_iters=1, eval_episodes=4, num_tasks=2)
-    seen = []
+    seen, states = [], []
+
+    class RecordedState(meta_mod.TaskState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    monkeypatch.setattr(meta_mod, "TaskState", RecordedState)
     meta = meta_train(tasks, schedule, hyper("float32"), seed=0,
-                      on_outer_start=lambda it, m, agents: seen.extend(agents))
+                      on_outer_start=lambda it, m, learner: seen.append(learner))
     assert meta.actor_opt.step_count == 1  # the iteration made a meta step
     assert_float32({"actor_vec": meta.actor_vec, "critic_vec": meta.critic_vec,
                     "actor_opt.m": meta.actor_opt.m, "critic_opt.v": meta.critic_opt.v})
-    for agent in seen:
-        assert agent.critic_opt.step_count > 0
-        grads = query_gradients(agent, np.random.default_rng(2))
-        assert_float32({**agent_arrays(agent), "query_actor": grads[0],
-                        "query_critic": grads[1]})
+    (learner,) = seen
+    assert learner.critic_opt.step_count > 0
+    grads = query_gradients(learner, np.random.default_rng(2))
+    assert_float32({**agent_arrays(learner), "query_actor": grads[0],
+                    "query_critic": grads[1]})
+    assert len(states) == 2
+    for state in states:
+        assert state.buffer.insert_count > 0
+        assert_float32({name: getattr(state.buffer, name)
+                        for name in ("states", "actions", "rewards", "next_states")})
 
 
 def test_float32_gradients_match_float64():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metaran import mdp, nets
+from metaran import mdp, meta as meta_mod, nets
 from metaran.cell import CellConfig
 from metaran.ddpg import DdpgAgent, Hyper, run_episode
 from metaran.episode import TaskEnv
@@ -11,6 +11,7 @@ from metaran.errors import ConfigurationError
 from metaran.mdp import TaskSpec
 from metaran.meta import (
     MetaSchedule,
+    TaskState,
     accumulate,
     apply_meta_update,
     init_meta_model,
@@ -23,6 +24,7 @@ from metaran.meta import (
     random_init_model,
     run_baseline,
     save_meta_model,
+    task_dims,
 )
 from metaran.seeding import derive_rng, derive_seed
 
@@ -142,24 +144,32 @@ def test_meta_train_requires_matching_tasks():
         )
 
 
-def test_agents_restart_from_meta_params_every_iteration():
+def test_agents_restart_from_meta_params_every_iteration(monkeypatch):
     h = tiny_hyper()
     tasks = [tiny_task(4, 0), tiny_task(6, 1)]
-    seen = []
+    sched = MetaSchedule(outer_iters=3, eval_episodes=2, num_tasks=2)
+    seen, episodes = [], []
 
-    def hook(it, meta_model, agents):
-        for agent in agents:
-            assert np.array_equal(agent.actor_vector(), meta_model.actor_vec)
-            assert np.array_equal(agent.critic_vector(), meta_model.critic_vec)
-        seen.append(meta_model.actor_vec.copy())
+    def hook(it, meta_model, learner):
+        assert np.array_equal(learner.actor_vector(), meta_model.actor_vec)
+        assert np.array_equal(learner.critic_vector(), meta_model.critic_vec)
+        seen.append((meta_model.actor_vec.copy(), meta_model.critic_vec.copy()))
 
-    meta_train(
-        tasks, MetaSchedule(outer_iters=3, eval_episodes=2, num_tasks=2),
-        h, seed=0, on_outer_start=hook,
-    )
+    def checked_episode(agent, env, *args, **kwargs):
+        # Each task's first episode of an iteration starts at the meta
+        # parameters, which change only after the last task's turn.
+        if len(episodes) % sched.eval_episodes == 0:
+            assert np.array_equal(agent.actor_vector(), seen[-1][0])
+            assert np.array_equal(agent.critic_vector(), seen[-1][1])
+        episodes.append(env)
+        return run_episode(agent, env, *args, **kwargs)
+
+    monkeypatch.setattr(meta_mod, "run_episode", checked_episode)
+    meta_train(tasks, sched, h, seed=0, on_outer_start=hook)
     assert len(seen) == 3
+    assert len(episodes) == 3 * 2 * 2
     # Once buffers warm up the meta parameters actually move.
-    assert not np.array_equal(seen[0], seen[-1])
+    assert not np.array_equal(seen[0][0], seen[-1][0])
 
 
 def reference_meta_train(tasks, schedule, hyper, seed):
@@ -208,20 +218,43 @@ def test_shared_learner_equals_independent_agents_bytewise(dtype):
             assert a.tobytes() == b.tobytes(), (name, moment)
 
 
-def test_hook_agents_share_one_learner_and_own_their_state():
+def test_meta_train_builds_one_learner_and_a_state_per_task(monkeypatch):
     h = tiny_hyper()
     tasks = [tiny_task(4, 0), tiny_task(6, 1), tiny_task(8, 2)]
-    seen = []
-    meta_train(tasks, MetaSchedule(outer_iters=2, eval_episodes=1, num_tasks=3),
-               h, seed=0, on_outer_start=lambda it, m, agents: seen.append(list(agents)))
-    for agents in seen:
-        assert len(agents) == 3
-        for name in ("actor", "critic", "target_actor", "target_critic",
-                     "actor_opt", "critic_opt"):
-            assert len({id(getattr(a, name)) for a in agents}) == 1, name
-        for name in ("buffer", "rng"):
-            assert len({id(getattr(a, name)) for a in agents}) == 3, name
-    assert all(a is b for a, b in zip(seen[0], seen[1]))
+    built, turns = [], []
+
+    class CountedAgent(DdpgAgent):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def recorded_episode(agent, env, *args, **kwargs):
+        turns.append((agent, agent.buffer, agent.rng, env))
+        return run_episode(agent, env, *args, **kwargs)
+
+    monkeypatch.setattr(meta_mod, "DdpgAgent", CountedAgent)
+    monkeypatch.setattr(meta_mod, "run_episode", recorded_episode)
+    meta_train(tasks, MetaSchedule(outer_iters=2, eval_episodes=1, num_tasks=3), h, seed=0)
+    assert len(built) == 1
+    assert all(agent is built[0] for agent, *_ in turns)
+    assert len(turns) == 2 * 3
+    # Each task brings its own buffer, rng and env, the same ones every iteration.
+    for k in (1, 2, 3):
+        assert len({id(turn[k]) for turn in turns}) == 3
+        assert [id(turn[k]) for turn in turns[:3]] == [id(turn[k]) for turn in turns[3:]]
+
+
+def test_task_state_rng_equals_a_fresh_agents_on_the_same_stream():
+    h = tiny_hyper()
+    task = tiny_task(6, 1)
+    state = TaskState(task, h, seed=4)
+    agent = DdpgAgent(*task_dims(task), h, derive_rng(4, "meta-train", "agent", task.task_id))
+    assert state.rng.bit_generator.state == agent.rng.bit_generator.state
+    assert state.noise_std == agent.noise_std
+    for name in ("states", "actions", "rewards", "next_states"):
+        mine, theirs = getattr(state.buffer, name), getattr(agent.buffer, name)
+        assert (mine.shape, mine.dtype) == (theirs.shape, theirs.dtype), name
+    assert state.buffer.insert_count == 0
 
 
 def test_meta_train_is_deterministic():
