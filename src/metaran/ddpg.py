@@ -119,6 +119,18 @@ def sample_batch(
     )
 
 
+def init_actor_critic(obs_dim: int, act_dim: int, hyper: Hyper, rng: np.random.Generator):
+    """Fresh (actor, critic) networks: a tanh-headed actor obs -> action and
+    an identity-headed critic (obs, action) -> Q, seeded by two draws from
+    rng, the actor's first."""
+    actor_seed, critic_seed = (int(rng.integers(2**31)) for _ in range(2))
+    actor = nets.init_network((obs_dim, *hyper.hidden_sizes, act_dim), actor_seed, "tanh",
+                              hyper.dtype)
+    critic = nets.init_network((obs_dim + act_dim, *hyper.hidden_sizes, 1), critic_seed,
+                               "identity", hyper.dtype)
+    return actor, critic
+
+
 class DdpgAgent:
     """Actor-critic pair with target networks and Gaussian exploration."""
 
@@ -127,11 +139,7 @@ class DdpgAgent:
         self.act_dim = act_dim
         self.hyper = hyper
         self.rng = rng
-        actor_seed, critic_seed = (int(rng.integers(2**31)) for _ in range(2))
-        actor_sizes = (obs_dim, *hyper.hidden_sizes, act_dim)
-        critic_sizes = (obs_dim + act_dim, *hyper.hidden_sizes, 1)
-        self.actor = nets.init_network(actor_sizes, actor_seed, "tanh", hyper.dtype)
-        self.critic = nets.init_network(critic_sizes, critic_seed, "identity", hyper.dtype)
+        self.actor, self.critic = init_actor_critic(obs_dim, act_dim, hyper, rng)
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
         self.actor_opt = nets.init_adam(self.actor.flat, lr=hyper.effective_actor_lr)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -19,6 +20,9 @@ from .meta import MetaSchedule
 
 SCHEMA_VERSION = 1
 METHODS = ("meta", "scratch", "tl", "mtl")
+CSV_COLUMNS = ("episode", "return", "q_avg", "q_min", "q_max")
+# A method CSV in a run directory, as write_csvs names it; other files are not read.
+METHOD_CSV = re.compile(rf"({'|'.join(METHODS)})_seed(-?\d+)\.csv")
 
 
 # -- configuration ---------------------------------------------------------
@@ -256,18 +260,9 @@ class MetricsLog:
     timings: dict = field(default_factory=dict)
 
     def add(self, method, task_id, seed, episode, ret, q_avg, q_min, q_max):
-        self.records.append(
-            {
-                "method": method,
-                "task_id": task_id,
-                "seed": seed,
-                "episode": episode,
-                "return": ret,
-                "q_avg": q_avg,
-                "q_min": q_min,
-                "q_max": q_max,
-            }
-        )
+        self.records.append({"method": method, "task_id": task_id, "seed": seed,
+                             "episode": episode, "return": ret,
+                             "q_avg": q_avg, "q_min": q_min, "q_max": q_max})
 
     def methods(self) -> list:
         seen = []
@@ -288,37 +283,35 @@ class MetricsLog:
                 path = out / f"{method}_seed{seed}.csv"
                 with open(path, "w", newline="") as fh:
                     writer = csv.writer(fh)
-                    writer.writerow(["episode", "return", "q_avg", "q_min", "q_max"])
+                    writer.writerow(CSV_COLUMNS)
                     for r in self.select(method=method, seed=seed):
-                        writer.writerow(
-                            [
-                                r["episode"],
-                                repr(r["return"]),
-                                repr(r["q_avg"]),
-                                repr(r["q_min"]),
-                                repr(r["q_max"]),
-                            ]
-                        )
+                        writer.writerow([r["episode"], *(repr(r[c]) for c in CSV_COLUMNS[1:])])
                 written.append(path)
         return written
 
     @classmethod
     def read_csvs(cls, out_dir) -> "MetricsLog":
+        """The <method>_seed<k>.csv files of out_dir, one per method in METHODS
+        and seed; a missing column or a cell that is not a number raises
+        ConfigurationError naming the file."""
         log = cls()
         for path in sorted(Path(out_dir).glob("*_seed*.csv")):
-            method, seed_part = path.stem.rsplit("_seed", 1)
+            match = METHOD_CSV.fullmatch(path.name)
+            if match is None:
+                continue
             with open(path, newline="") as fh:
-                for row in csv.DictReader(fh):
-                    log.add(
-                        method,
-                        task_id=-1,
-                        seed=int(seed_part),
-                        episode=int(row["episode"]),
-                        ret=float(row["return"]),
-                        q_avg=float(row["q_avg"]),
-                        q_min=float(row["q_min"]),
-                        q_max=float(row["q_max"]),
-                    )
+                reader = csv.DictReader(fh)
+                missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+                if missing:
+                    raise ConfigurationError(f"{path}: missing columns {missing}")
+                try:
+                    for row in reader:
+                        episode, *values = (row[c] for c in CSV_COLUMNS)
+                        log.add(match[1], -1, int(match[2]), int(episode),
+                                *(float(v) for v in values))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigurationError(
+                        f"{path}, line {reader.line_num}: {exc}") from exc
         return log
 
 
@@ -326,24 +319,18 @@ class MetricsLog:
 
 
 def _record_trace(log, method, task_id, seed, trace):
-    for entry in trace:
-        log.add(
-            method,
-            task_id,
-            seed,
-            entry["shot"],
-            entry["episode_return"],
-            entry["q_avg"],
-            entry["q_min"],
-            entry["q_max"],
-        )
+    for e in trace:
+        log.add(method, task_id, seed, e["shot"], e["episode_return"],
+                e["q_avg"], e["q_min"], e["q_max"])
 
 
 def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
     """Run meta-training/adaptation and/or baselines for every seed.
 
-    Writes one metrics CSV per (method, seed) plus meta checkpoints and the
-    per-shot adaptation trace. Interrupted runs restart cleanly (no resume).
+    A run directory holds one metrics CSV per (method, seed),
+    <method>_seed<k>.csv, and for meta the checkpoint meta_model_seed<k>.npz;
+    the CLI's adapt command adds adapted_agent_seed<k>.npz. Interrupted runs
+    restart cleanly (no resume).
     """
     if mode not in METHODS + ("all",):
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -365,7 +352,6 @@ def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
             meta_mod.save_meta_model(out / f"meta_model_seed{seed}.npz", model)
             _, trace = meta_mod.meta_adapt_new(model, new_task, schedule, hyper, seed)
             _record_trace(log, "meta", new_task.task_id, seed, trace)
-            _write_adaptation_trace(out / f"adaptation_meta_seed{seed}.csv", trace)
         for kind in ("scratch", "tl", "mtl"):
             if kind in wanted:
                 start = time.perf_counter()
@@ -377,14 +363,6 @@ def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
                 _record_trace(log, kind, new_task.task_id, seed, trace)
     log.write_csvs(out)
     return log
-
-
-def _write_adaptation_trace(path, trace) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shot", "episode_return"])
-        for entry in trace:
-            writer.writerow([entry["shot"], repr(entry["episode_return"])])
 
 
 # -- analysis --------------------------------------------------------------

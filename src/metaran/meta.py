@@ -13,7 +13,7 @@ import numpy as np
 
 from . import mdp, nets
 from .ddpg import (BufferNotReady, DdpgAgent, Hyper, ReplayBuffer, evaluate_policy,
-                   run_episode, sample_batch)
+                   init_actor_critic, run_episode, sample_batch)
 from .episode import TaskEnv
 from .errors import ConfigurationError, TrainingDivergence
 from .mdp import TaskSpec
@@ -63,11 +63,7 @@ def init_meta_model(
     actor_lr: float = 0.0,
     critic_lr: float = 0.0,
 ) -> MetaModel:
-    actor_sizes = (obs_dim, *hyper.hidden_sizes, act_dim)
-    critic_sizes = (obs_dim + act_dim, *hyper.hidden_sizes, 1)
-    rng = np.random.default_rng(seed)
-    actor = nets.init_network(actor_sizes, int(rng.integers(2**31)), "tanh", hyper.dtype)
-    critic = nets.init_network(critic_sizes, int(rng.integers(2**31)), "identity", hyper.dtype)
+    actor, critic = init_actor_critic(obs_dim, act_dim, hyper, np.random.default_rng(seed))
     return MetaModel(
         actor_vec=nets.params_as_vector(actor),
         critic_vec=nets.params_as_vector(critic),
@@ -197,11 +193,16 @@ def inner_adapt(
     ADAPT_EVAL_EPISODES evaluation episodes (averaging tames episode-to-episode
     traffic noise without touching the training trajectory).
     """
-    agent = DdpgAgent(*task_dims(task), hyper, derive_rng(seed, stream, "agent", task.task_id))
-    agent.load_vectors(meta.actor_vec, meta.critic_vec)
-    env = TaskEnv(task, derive_rng(seed, stream, "env", task.task_id))
+    agent, env = _task_agent(meta, task, hyper, seed, stream)
     eval_env = TaskEnv(task, derive_rng(seed, stream, "eval-env", task.task_id))
     return agent, _shots(agent, [env] * budget, eval_env)
+
+
+def _task_agent(meta: MetaModel, task: TaskSpec, hyper: Hyper, seed: int, stream: str):
+    """(agent at the meta parameters, training env) on the stream's task streams."""
+    agent = DdpgAgent(*task_dims(task), hyper, derive_rng(seed, stream, "agent", task.task_id))
+    agent.load_vectors(meta.actor_vec, meta.critic_vec)
+    return agent, TaskEnv(task, derive_rng(seed, stream, "env", task.task_id))
 
 
 def _shots(agent: DdpgAgent, envs: list, eval_env: TaskEnv) -> list:
@@ -245,8 +246,8 @@ def run_baseline(
     """Train one of the comparison methods on the new task.
 
     scratch: random init, budget episodes on the new task.
-    tl: pre-train on the first donor task for donor_budget episodes, then
-        fine-tune on the new task.
+    tl: pre-train on the first donor task for donor_budget training episodes
+        (no evaluations), then fine-tune on the new task.
     mtl: one agent alternates episodes between a randomly chosen donor task
         and the new task (even split, new task last), evaluated on the new task.
     """
@@ -262,7 +263,9 @@ def run_baseline(
     if kind == "tl":
         donor = donor_tasks[0]
         init = random_init_model(donor, hyper, seed)
-        donor_agent, _ = inner_adapt(init, donor, donor_budget, hyper, seed, stream="tl-donor")
+        donor_agent, env = _task_agent(init, donor, hyper, seed, "tl-donor")
+        for _ in range(donor_budget):
+            run_episode(donor_agent, env, hyper.horizon, explore=True, train=True)
         donor_model = replace(init, actor_vec=donor_agent.actor_vector(),
                               critic_vec=donor_agent.critic_vector())
         return inner_adapt(donor_model, new_task, budget, hyper, seed)

@@ -43,6 +43,21 @@ def test_baseline_scratch_and_summarize(tmp_path, capsys):
     assert "Final mean discounted return" in text
 
 
+def test_readme_quick_start_on_a_tiny_config(tmp_path, capsys):
+    # meta-train, then a baseline, then summarize over the same directory:
+    # the files meta-train writes besides its CSV must not break summarize.
+    config_path, _ = write_small_config(tmp_path)
+    out_dir = str(tmp_path / "out")
+    assert cli.main(["meta-train", "--config", str(config_path), "--out", out_dir]) == 0
+    assert cli.main(["baseline", "--kind", "scratch", "--config", str(config_path),
+                     "--out", out_dir]) == 0
+    capsys.readouterr()
+    assert cli.main(["summarize", "--out", out_dir]) == 0
+    text = capsys.readouterr().out
+    assert "  meta  " in text and "  scratch  " in text
+    assert "Relative gain of meta over best baseline (scratch)" in text
+
+
 def test_seed_and_out_overrides(tmp_path):
     config_path, _ = write_small_config(tmp_path)
     other = tmp_path / "elsewhere"

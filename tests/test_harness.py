@@ -158,6 +158,34 @@ def test_metrics_csv_round_trip_preserves_floats(tmp_path):
     assert sorted(got) == sorted(want)  # repr round-trips doubles exactly
 
 
+def test_read_csvs_reads_only_method_csvs(tmp_path):
+    fake_log().write_csvs(tmp_path)
+    (tmp_path / "adaptation_meta_seed0.csv").write_text("shot,episode_return\n1,-1.5\n")
+    (tmp_path / "notes_seed0.csv").write_text("x\n1\n")
+    (tmp_path / "run.json").write_text("{}")
+    (tmp_path / "events.jsonl").write_text("{}\n")
+    (tmp_path / "meta_model_seed0.npz").write_bytes(b"")
+    back = MetricsLog.read_csvs(tmp_path)
+    assert back.methods() == ["meta", "scratch"]
+    assert len(back.records) == len(fake_log().records)
+
+
+def test_read_csvs_missing_column_names_the_file(tmp_path):
+    (tmp_path / "meta_seed0.csv").write_text("episode,return,q_avg,q_min\n1,0.5,1.0,1.0\n")
+    with pytest.raises(ConfigurationError, match=r"meta_seed0\.csv.*missing columns \['q_max'\]"):
+        MetricsLog.read_csvs(tmp_path)
+
+
+def test_read_csvs_non_numeric_cell_names_the_file(tmp_path):
+    fake_log().write_csvs(tmp_path)
+    path = tmp_path / "scratch_seed1.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace(lines[2].split(",")[1], "oops", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=r"scratch_seed1\.csv, line 3: .*'oops'"):
+        MetricsLog.read_csvs(tmp_path)
+
+
 # -- analysis ----------------------------------------------------------------
 
 
@@ -244,6 +272,5 @@ def test_run_experiment_meta_writes_checkpoints(tmp_path):
     cfg = small_config(tmp_path)
     log = run_experiment(cfg, mode="meta")
     assert (tmp_path / "meta_model_seed0.npz").exists()
-    assert (tmp_path / "adaptation_meta_seed0.csv").exists()
     assert (tmp_path / "meta_seed0.csv").exists()
     assert [r["episode"] for r in log.records] == [1]

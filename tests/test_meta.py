@@ -1,5 +1,7 @@
 """Tests for meta-training, few-shot adaptation, and the baseline methods."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,23 @@ def test_meta_model_shapes_and_step_sizes():
     assert m.actor_opt.lr == 2e-4 and m.critic_opt.lr == 1e-3
     m2 = init_meta_model(7, 4, h, seed=0, actor_lr=5e-5, critic_lr=7e-3)
     assert m2.actor_opt.lr == 5e-5 and m2.critic_opt.lr == 7e-3
+
+
+def test_meta_model_and_agent_share_one_initializer():
+    # Both draw the actor's seed, then the critic's, from one stream.
+    h = tiny_hyper()
+    rng = np.random.default_rng(9)
+    actor_seed, critic_seed = int(rng.integers(2**31)), int(rng.integers(2**31))
+    actor = nets.init_network((5, 8, 2), actor_seed, "tanh", h.dtype)
+    critic = nets.init_network((7, 8, 1), critic_seed, "identity", h.dtype)
+    m = init_meta_model(5, 2, h, seed=9)
+    agent_rng = np.random.default_rng(9)
+    agent = DdpgAgent(5, 2, h, agent_rng)
+    assert agent_rng.bit_generator.state == rng.bit_generator.state
+    for actor_vec, critic_vec in ((m.actor_vec, m.critic_vec),
+                                  (agent.actor_vector(), agent.critic_vector())):
+        assert actor_vec.tobytes() == actor.flat.tobytes()
+        assert critic_vec.tobytes() == critic.flat.tobytes()
 
 
 # -- meta update algebra -----------------------------------------------------
@@ -365,6 +384,40 @@ def test_tl_differs_from_scratch():
     agent_tl, _ = run_baseline("tl", new, donors, 1, h, seed=1, donor_budget=3)
     agent_sc, _ = run_baseline("scratch", new, donors, 1, h, seed=1)
     assert not np.array_equal(agent_tl.actor_vector(), agent_sc.actor_vector())
+
+
+def test_tl_pretrains_without_evaluations(monkeypatch):
+    # Only the new task's shots are evaluated; the donor's 5 episodes are not.
+    calls = []
+    evaluate = meta_mod.evaluate_policy
+
+    def counting(agent, env, *args):
+        calls.append(env)
+        return evaluate(agent, env, *args)
+
+    monkeypatch.setattr(meta_mod, "evaluate_policy", counting)
+    new = tiny_task(4, task_id=2)
+    run_baseline("tl", new, [tiny_task(6, 0)], 2, tiny_hyper(), seed=0, donor_budget=5)
+    assert len(calls) == 2
+    assert {env.task.task_id for env in calls} == {2}
+
+
+def test_tl_equals_pretraining_through_inner_adapt():
+    # Reference: the donor trained through inner_adapt, whose greedy
+    # evaluations draw only from their own env stream, then fine-tuned.
+    h = tiny_hyper()
+    new, donor = tiny_task(4, task_id=2), tiny_task(6, 0)
+    init = random_init_model(donor, h, seed=3)
+    donor_agent, _ = inner_adapt(init, donor, 5, h, seed=3, stream="tl-donor")
+    donor_model = replace(init, actor_vec=donor_agent.actor_vector(),
+                          critic_vec=donor_agent.critic_vector())
+    ref_agent, ref_trace = inner_adapt(donor_model, new, 2, h, seed=3)
+    assert donor_agent.actor_opt.step_count > 0  # the donor did train
+
+    agent, trace = run_baseline("tl", new, [donor], 2, h, seed=3, donor_budget=5)
+    assert repr(trace) == repr(ref_trace)
+    assert agent.actor_vector().tobytes() == ref_agent.actor_vector().tobytes()
+    assert agent.critic_vector().tobytes() == ref_agent.critic_vector().tobytes()
 
 
 # -- checkpointing -----------------------------------------------------------
