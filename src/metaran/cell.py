@@ -115,15 +115,8 @@ class RateReport:
     active: np.ndarray  # (N,) bool, traffic level != idle
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
-def reset(config: CellConfig, seed) -> EnvSnapshot:
+def reset(config: CellConfig, rng: np.random.Generator) -> EnvSnapshot:
     """Place UEs uniformly in the cell disc with fresh speeds/headings/traffic."""
-    rng = _as_rng(seed)
     n = config.num_ues
     radii = config.cell_radius * np.sqrt(rng.uniform(size=n))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -140,23 +133,19 @@ def reset(config: CellConfig, seed) -> EnvSnapshot:
     )
 
 
-def step_mobility(
-    s: EnvSnapshot, config: CellConfig, dt: float, rng: np.random.Generator
-) -> EnvSnapshot:
-    """Advance every UE along its heading, reflecting off the cell edge.
+def step_mobility(s: EnvSnapshot, config: CellConfig, rng: np.random.Generator) -> EnvSnapshot:
+    """Advance every UE along its heading for one 1 s step, reflecting off the
+    cell edge.
 
     A UE that crosses the boundary is mirrored back across the circle and gets
     a fresh heading and speed.
     """
-    if dt <= 0:
-        raise ContractViolation("dt must be positive")
-    v = s.ue_speeds * dt
+    speeds, directions = s.ue_speeds, s.ue_directions  # m/s, so metres per step
     pos = np.empty(s.ue_positions.shape)
-    x = np.add(s.ue_positions[:, 0], v * np.cos(s.ue_directions), out=pos[:, 0])
-    y = np.add(s.ue_positions[:, 1], v * np.sin(s.ue_directions), out=pos[:, 1])
+    x = np.add(s.ue_positions[:, 0], speeds * np.cos(directions), out=pos[:, 0])
+    y = np.add(s.ue_positions[:, 1], speeds * np.sin(directions), out=pos[:, 1])
     dist = np.sqrt(x * x + y * y)  # bitwise norm(pos, axis=1)
     out = (dist > config.cell_radius).nonzero()[0]
-    speeds, directions = s.ue_speeds, s.ue_directions
     if out.size:
         # Mirror across the circle: new radius = 2R - r, same bearing.
         d = dist[out]
@@ -169,12 +158,11 @@ def step_mobility(
     return EnvSnapshot(pos, speeds, directions, s.traffic_levels, s.time_index + 1)
 
 
-def step_traffic(
-    s: EnvSnapshot, rng: np.random.Generator, switch_prob: float = TRAFFIC_SWITCH_PROB
-) -> EnvSnapshot:
-    """Each UE independently jumps to a random *other* level with switch_prob."""
+def step_traffic(s: EnvSnapshot, rng: np.random.Generator) -> EnvSnapshot:
+    """Each UE independently jumps to a random *other* level with probability
+    TRAFFIC_SWITCH_PROB."""
     n = len(s.traffic_levels)
-    switch = rng.uniform(size=n) < switch_prob
+    switch = rng.uniform(size=n) < TRAFFIC_SWITCH_PROB
     # Offset in 1..3 guarantees the new level differs from the old one.
     offsets = rng.integers(1, len(TRAFFIC_LEVELS), size=n)
     levels = s.traffic_levels

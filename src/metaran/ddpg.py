@@ -55,6 +55,13 @@ class Hyper:
             raise ConfigurationError("hidden_sizes must all be >= 1")
         if self.buffer_capacity <= 0 or self.buffer_capacity % 2 != 0:
             raise ConfigurationError("buffer_capacity must be positive and even")
+        # Below either bound no support batch is ever drawn, so nothing trains.
+        if self.buffer_capacity < 2 * self.batch_size:
+            raise ConfigurationError(
+                f"buffer_capacity must be >= 2 * batch_size = {2 * self.batch_size}"
+            )
+        if self.warmup_transitions > self.buffer_capacity:
+            raise ConfigurationError("warmup_transitions must be <= buffer_capacity")
 
     @property
     def effective_actor_lr(self) -> float:
@@ -149,12 +156,6 @@ class DdpgAgent:
 
     # -- parameter exchange ------------------------------------------------
 
-    def actor_vector(self) -> np.ndarray:
-        return nets.params_as_vector(self.actor)
-
-    def critic_vector(self) -> np.ndarray:
-        return nets.params_as_vector(self.critic)
-
     def load_vectors(self, actor_vec: np.ndarray, critic_vec: np.ndarray) -> None:
         """Set online and target networks from flat vectors, cast to the
         agent's dtype, and restart both optimizers as init_adam would: zero
@@ -243,18 +244,19 @@ def _check_finite(name: str, loss: float, grads: np.ndarray) -> None:
         raise TrainingDivergence(f"non-finite {name} loss or gradient (loss={loss})")
 
 
-def run_episode(agent: DdpgAgent, env, horizon: int, explore: bool, train: bool):
+def run_episode(agent: DdpgAgent, env, horizon: int, train: bool):
     """One episode; returns (discounted return, mean QoS stats dict).
 
-    With train=True every post-warm-up step also performs one train_step on a
-    support batch and the noise schedule advances at episode end.
+    With train=True the agent explores, every post-warm-up step also performs
+    one train_step on a support batch and the noise schedule advances at
+    episode end; with train=False it acts greedily.
     """
     state = env.reset()
     total = 0.0
     discount = 1.0
     q_sums = np.zeros(3)
     for _ in range(horizon):
-        action = agent.select_action(state, explore=explore)
+        action = agent.select_action(state, explore=train)
         next_state, reward, info = env.step(action)
         if train:
             agent.buffer.add(Transition(state, action, reward, next_state))
@@ -285,7 +287,7 @@ def evaluate_policy(agent: DdpgAgent, env, episodes: int, horizon: int) -> dict:
         raise ContractViolation("episodes must be >= 1")
     rets, qoses = [], []
     for _ in range(episodes):
-        ret, qos = run_episode(agent, env, horizon, explore=False, train=False)
+        ret, qos = run_episode(agent, env, horizon, train=False)
         rets.append(ret)
         qoses.append(qos)
     mean_qos = {k: float(np.mean([q[k] for q in qoses])) for k in qoses[0]}

@@ -56,7 +56,7 @@ class TaskEnv:
         if self.stationary:
             s = self.snapshot
         else:
-            s = cell.step_mobility(self.snapshot, self.config, 1.0, self.rng)  # 1 s steps
+            s = cell.step_mobility(self.snapshot, self.config, self.rng)
             s = cell.step_traffic(s, self.rng)
         ch = cell.sample_channel(s, self.config, self.rng)
         idle = ~s.active_mask

@@ -76,6 +76,8 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigurationError("seeds: at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds: each seed may appear once, got {list(self.seeds)}")
         if not self.tasks:
             raise ConfigurationError("tasks: at least one donor task is required")
         # Build every runtime object here, so that the checks of CellConfig,
@@ -86,7 +88,11 @@ class ExperimentConfig:
             self.cell_config(1)
         self.donor_task_specs()
         self.new_task_spec()
-        self.meta_schedule()
+        if self.meta_schedule().adapt_budget < 1:
+            raise ConfigurationError(
+                f"schedule: outer_iters {self.schedule.outer_iters} leaves no adaptation "
+                "episode (the budget is 10% of outer_iters, rounded)"
+            )
 
     # -- derived objects ---------------------------------------------------
 

@@ -168,7 +168,7 @@ def meta_train(
             if i == 0 and on_outer_start is not None:
                 on_outer_start(it, meta, learner)
             for _ in range(schedule.eval_episodes):
-                run_episode(learner, task.env, hyper.horizon, explore=True, train=True)
+                run_episode(learner, task.env, hyper.horizon, train=True)
             task.noise_std = learner.noise_std
             grads = query_gradients(learner, task.query_rng)
             if grads is not None:
@@ -178,14 +178,7 @@ def meta_train(
     return meta
 
 
-def inner_adapt(
-    meta: MetaModel,
-    task: TaskSpec,
-    budget: int,
-    hyper: Hyper,
-    seed: int,
-    stream: str = "adapt",
-):
+def inner_adapt(meta: MetaModel, task: TaskSpec, budget: int, hyper: Hyper, seed: int):
     """Initialize an agent from the meta parameters and train it on the task.
 
     Returns (agent, trace) where trace holds one record per adaptation shot:
@@ -193,8 +186,8 @@ def inner_adapt(
     ADAPT_EVAL_EPISODES evaluation episodes (averaging tames episode-to-episode
     traffic noise without touching the training trajectory).
     """
-    agent, env = _task_agent(meta, task, hyper, seed, stream)
-    eval_env = TaskEnv(task, derive_rng(seed, stream, "eval-env", task.task_id))
+    agent, env = _task_agent(meta, task, hyper, seed, "adapt")
+    eval_env = TaskEnv(task, derive_rng(seed, "adapt", "eval-env", task.task_id))
     return agent, _shots(agent, [env] * budget, eval_env)
 
 
@@ -209,7 +202,7 @@ def _shots(agent: DdpgAgent, envs: list, eval_env: TaskEnv) -> list:
     """Per env in turn, one training episode and then a greedy evaluation."""
     trace = []
     for shot, env in enumerate(envs, start=1):
-        run_episode(agent, env, agent.hyper.horizon, explore=True, train=True)
+        run_episode(agent, env, agent.hyper.horizon, train=True)
         evaluation = evaluate_policy(agent, eval_env, ADAPT_EVAL_EPISODES, agent.hyper.horizon)
         trace.append({"shot": shot, **evaluation})
     return trace
@@ -265,9 +258,9 @@ def run_baseline(
         init = random_init_model(donor, hyper, seed)
         donor_agent, env = _task_agent(init, donor, hyper, seed, "tl-donor")
         for _ in range(donor_budget):
-            run_episode(donor_agent, env, hyper.horizon, explore=True, train=True)
-        donor_model = replace(init, actor_vec=donor_agent.actor_vector(),
-                              critic_vec=donor_agent.critic_vector())
+            run_episode(donor_agent, env, hyper.horizon, train=True)
+        donor_model = replace(init, actor_vec=nets.params_as_vector(donor_agent.actor),
+                              critic_vec=nets.params_as_vector(donor_agent.critic))
         return inner_adapt(donor_model, new_task, budget, hyper, seed)
 
     if kind == "mtl":

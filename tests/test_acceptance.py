@@ -78,7 +78,7 @@ def test_rates_match_scalar_oracle_on_100_instances():
             cell_radius=float(rng.uniform(50, 500)),
             neighbor_occupancy=float(rng.uniform(0, 1)),
         )
-        snap = cell.reset(cfg, seed=rng)
+        snap = cell.reset(cfg, rng)
         ch = cell.sample_channel(snap, cfg, rng)
         alloc = decode_action(rng.uniform(-1, 1, size=2 * cfg.num_ues), cfg)
         report = cell.compute_rates(alloc, ch, snap, cfg)
@@ -241,8 +241,8 @@ def test_ddpg_learns_on_stationary_single_ue_task():
         eval_env = TaskEnv(task, derive_rng(seed, "eval"), stationary=True)
         evals = []
         for _ in range(episodes):
-            run_episode(agent, env, hyper.horizon, explore=True, train=True)
-            ret, _ = run_episode(agent, eval_env, hyper.horizon, explore=False, train=False)
+            run_episode(agent, env, hyper.horizon, train=True)
+            ret, _ = run_episode(agent, eval_env, hyper.horizon, train=False)
             evals.append(ret)
         evals = np.array(evals)
         head = evals[: episodes // 10].mean()
@@ -313,13 +313,13 @@ def test_structural_properties_of_meta_loop():
     model = meta.random_init_model(task, hyper, seed=0)
     agent, trace = meta.inner_adapt(model, task, budget=0, hyper=hyper, seed=0)
     assert trace == []
-    assert np.array_equal(agent.actor_vector(), model.actor_vec)
-    assert np.array_equal(agent.critic_vector(), model.critic_vec)
+    assert np.array_equal(agent.actor.flat, model.actor_vec)
+    assert np.array_equal(agent.critic.flat, model.critic_vec)
 
     # (b) The learner starts every outer iteration at the meta parameters.
     def hook(it, m, learner):
-        assert np.array_equal(learner.actor_vector(), m.actor_vec)
-        assert np.array_equal(learner.critic_vector(), m.critic_vec)
+        assert np.array_equal(learner.actor.flat, m.actor_vec)
+        assert np.array_equal(learner.critic.flat, m.critic_vec)
 
     schedule = meta.MetaSchedule(outer_iters=3, eval_episodes=3, num_tasks=1)
     meta.meta_train([task], schedule, hyper, seed=1, on_outer_start=hook)
@@ -341,7 +341,7 @@ def test_structural_properties_of_meta_loop():
     )
     by_hand.load_vectors(ref.actor_vec, ref.critic_vec)
     for _ in range(one.eval_episodes):
-        run_episode(by_hand, env, hyper.horizon, explore=True, train=True)
+        run_episode(by_hand, env, hyper.horizon, train=True)
     qrng = derive_rng(2, "meta-train", "query", task.task_id)
     ga, gc = meta.query_gradients(by_hand, qrng)
     nets.adam_step(ref.actor_vec, ga, ref.actor_opt)

@@ -78,7 +78,7 @@ def test_neighbor_positions_on_ring():
 
 def test_reset_places_ues_in_disc_with_valid_attributes():
     c = small_config(num_ues=50)
-    s = cell.reset(c, seed=7)
+    s = cell.reset(c, np.random.default_rng(7))
     assert s.ue_positions.shape == (50, 2)
     assert (np.linalg.norm(s.ue_positions, axis=1) <= c.cell_radius).all()
     assert ((s.ue_speeds >= cell.SPEED_MIN) & (s.ue_speeds <= cell.SPEED_MAX)).all()
@@ -89,9 +89,9 @@ def test_reset_places_ues_in_disc_with_valid_attributes():
 
 def test_reset_is_deterministic_per_seed():
     c = small_config()
-    a = cell.reset(c, seed=3)
-    b = cell.reset(c, seed=3)
-    other = cell.reset(c, seed=4)
+    a = cell.reset(c, np.random.default_rng(3))
+    b = cell.reset(c, np.random.default_rng(3))
+    other = cell.reset(c, np.random.default_rng(4))
     assert np.array_equal(a.ue_positions, b.ue_positions)
     assert np.array_equal(a.traffic_levels, b.traffic_levels)
     assert not np.array_equal(a.ue_positions, other.ue_positions)
@@ -99,7 +99,7 @@ def test_reset_is_deterministic_per_seed():
 
 def test_active_mask_excludes_idle():
     c = small_config()
-    s = cell.reset(c, seed=0)
+    s = cell.reset(c, np.random.default_rng(0))
     assert np.array_equal(s.active_mask, s.traffic_levels != cell.IDLE)
 
 
@@ -108,7 +108,7 @@ def test_active_mask_excludes_idle():
 
 def test_straight_line_motion():
     c = small_config(cell_radius=1000.0)
-    s = cell.reset(c, seed=0)
+    s = cell.reset(c, np.random.default_rng(0))
     s = cell.EnvSnapshot(
         ue_positions=np.zeros((3, 2)),
         ue_speeds=np.full(3, 10.0),
@@ -116,7 +116,7 @@ def test_straight_line_motion():
         traffic_levels=s.traffic_levels,
     )
     rng = np.random.default_rng(0)
-    s2 = cell.step_mobility(s, c, dt=1.0, rng=rng)
+    s2 = cell.step_mobility(s, c, rng)
     assert np.allclose(s2.ue_positions, [[10.0, 0.0]] * 3)
     assert s2.time_index == 1
 
@@ -124,9 +124,9 @@ def test_straight_line_motion():
 def test_positions_stay_inside_disc_for_long_rollouts():
     c = small_config(cell_radius=50.0, num_ues=8)
     rng = np.random.default_rng(11)
-    s = cell.reset(c, seed=11)
+    s = cell.reset(c, np.random.default_rng(11))
     for _ in range(1000):
-        s = cell.step_mobility(s, c, dt=1.0, rng=rng)
+        s = cell.step_mobility(s, c, rng)
         assert (np.linalg.norm(s.ue_positions, axis=1) <= c.cell_radius + 1e-9).all()
 
 
@@ -148,9 +148,9 @@ def test_mobility_keeps_ues_spread_over_the_disc(profile):
     for c in (t.cell_config for t in cfg.donor_task_specs()):
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            s = cell.reset(c, seed=rng)
+            s = cell.reset(c, rng)
             for _ in range(horizon):  # one episode
-                s = cell.step_mobility(s, c, dt=1.0, rng=rng)
+                s = cell.step_mobility(s, c, rng)
                 r = np.linalg.norm(s.ue_positions, axis=1) / c.cell_radius
                 beyond += int((r > 0.9).sum())
                 mean_x += float((s.ue_positions[:, 0] / c.cell_radius).sum())
@@ -159,33 +159,28 @@ def test_mobility_keeps_ues_spread_over_the_disc(profile):
     assert abs(mean_x / samples) <= 0.1
 
 
-def test_mobility_rejects_nonpositive_dt():
-    c = small_config()
-    s = cell.reset(c, seed=0)
-    with pytest.raises(ContractViolation):
-        cell.step_mobility(s, c, dt=0.0, rng=np.random.default_rng(0))
-
-
 # -- traffic -----------------------------------------------------------------
 
 
-def test_traffic_zero_probability_keeps_levels():
+def test_traffic_zero_probability_keeps_levels(monkeypatch):
+    monkeypatch.setattr(cell, "TRAFFIC_SWITCH_PROB", 0.0)
     c = small_config(num_ues=20)
-    s = cell.reset(c, seed=5)
-    s2 = cell.step_traffic(s, np.random.default_rng(0), switch_prob=0.0)
+    s = cell.reset(c, np.random.default_rng(5))
+    s2 = cell.step_traffic(s, np.random.default_rng(0))
     assert np.array_equal(s.traffic_levels, s2.traffic_levels)
 
 
-def test_traffic_switch_always_changes_level():
+def test_traffic_switch_always_changes_level(monkeypatch):
+    monkeypatch.setattr(cell, "TRAFFIC_SWITCH_PROB", 1.0)
     c = small_config(num_ues=40)
-    s = cell.reset(c, seed=5)
-    s2 = cell.step_traffic(s, np.random.default_rng(0), switch_prob=1.0)
+    s = cell.reset(c, np.random.default_rng(5))
+    s2 = cell.step_traffic(s, np.random.default_rng(0))
     assert (s.traffic_levels != s2.traffic_levels).all()
 
 
 def test_traffic_switch_frequency_matches_rate():
     c = small_config(num_ues=100)
-    s = cell.reset(c, seed=1)
+    s = cell.reset(c, np.random.default_rng(1))
     rng = np.random.default_rng(1)
     switches, steps = 0, 0
     for _ in range(1000):
@@ -201,7 +196,7 @@ def test_traffic_switch_frequency_matches_rate():
 
 def test_channel_shapes_and_domains():
     c = small_config(num_ues=3, num_rbs=4, num_neighbors=2)
-    s = cell.reset(c, seed=0)
+    s = cell.reset(c, np.random.default_rng(0))
     ch = cell.sample_channel(s, c, np.random.default_rng(0))
     assert ch.gain.shape == (3, 4)
     assert ch.neighbor_gain.shape == (2, 3, 4)
@@ -213,7 +208,7 @@ def test_channel_shapes_and_domains():
 
 def test_channel_gain_is_unit_mean():
     c = small_config(num_ues=50, num_rbs=50)
-    s = cell.reset(c, seed=0)
+    s = cell.reset(c, np.random.default_rng(0))
     rng = np.random.default_rng(123)
     draws = [cell.sample_channel(s, c, rng).gain.mean() for _ in range(40)]
     assert abs(np.mean(draws) - 1.0) < 0.01
@@ -221,7 +216,7 @@ def test_channel_gain_is_unit_mean():
 
 def test_zero_occupancy_means_zero_interference():
     c = small_config(neighbor_occupancy=0.0)
-    s = cell.reset(c, seed=0)
+    s = cell.reset(c, np.random.default_rng(0))
     rng = np.random.default_rng(0)
     ch = cell.sample_channel(s, c, rng)
     assert (ch.neighbor_power == 0).all()
@@ -239,7 +234,7 @@ def test_zero_occupancy_means_zero_interference():
 
 def test_empty_allocation_gives_zero_rates():
     c = small_config()
-    s = cell.reset(c, seed=0)
+    s = cell.reset(c, np.random.default_rng(0))
     ch = cell.sample_channel(s, c, np.random.default_rng(0))
     report = cell.compute_rates(zero_allocation(c), ch, s, c)
     assert (report.per_ue_rate == 0).all()
@@ -314,7 +309,7 @@ def test_unit_sinr_gives_bandwidth_rate():
 def test_rates_match_scalar_oracle():
     c = small_config(num_ues=3, num_rbs=4, num_neighbors=2)
     rng = np.random.default_rng(42)
-    s = cell.reset(c, seed=42)
+    s = cell.reset(c, np.random.default_rng(42))
     ch = cell.sample_channel(s, c, rng)
     alloc = decode_action(rng.uniform(-1, 1, size=2 * c.num_ues), c)
     report = cell.compute_rates(alloc, ch, s, c)
@@ -372,7 +367,7 @@ def test_min_rate_over_active_ues_only():
 
 def test_invalid_allocations_rejected():
     c = small_config(num_ues=2, num_rbs=3, num_neighbors=0)
-    s = cell.reset(c, seed=0)
+    s = cell.reset(c, np.random.default_rng(0))
     ch = cell.sample_channel(s, c, np.random.default_rng(0))
     good = zero_allocation(c)
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from metaran import cli
+from metaran.errors import ConfigurationError
 from metaran.harness import MetricsLog, default_config
 
 
@@ -88,6 +89,15 @@ def test_meta_train_then_eval(tmp_path, capsys):
     ])
     assert rc == 0
     assert "mean discounted return" in capsys.readouterr().out
+
+
+def test_adapt_rejects_a_schedule_without_an_adaptation_episode(tmp_path):
+    config_path, _ = write_small_config(tmp_path)
+    data = json.loads(config_path.read_text())
+    data["schedule"]["outer_iters"] = 5  # round(0.1 * 5) = 0 adaptation episodes
+    config_path.write_text(json.dumps(data))
+    with pytest.raises(ConfigurationError, match="schedule: outer_iters"):
+        cli.main(["adapt", "--config", str(config_path)])
 
 
 def test_unknown_command_rejected():

@@ -51,6 +51,15 @@ def test_every_traced_span_resolves_on_the_package():
     assert [args[0] for args, _ in calls] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("name", ["toy-meta", "paper-learn", "paper-serve"])
+def test_benchmark_workload_builds_and_warms_up(tmp_path, name):
+    # Set-up and warm-up call the package as a timed pass does: DdpgAgent,
+    # select_action(explore=), TaskEnv.step's 3-tuple, ReplayBuffer.add,
+    # sample_batch, train_step, init_meta_model and load_vectors.
+    workloads = _load_perfbench("workloads")
+    workloads.WORKLOADS[name](1, tmp_path).warm_up()
+
+
 def test_benchmark_owner_vector_reads_the_decoded_owners():
     owner_vector = _load_perfbench("workloads").owner_vector
     rng = np.random.default_rng(5)
@@ -76,8 +85,9 @@ def test_config_save_load_reproduces_default_profiles(tmp_path, profile):
 
 
 def _edited_config(tmp_path, block, key, value):
+    """The toy config file with one key changed; block None is the top level."""
     data = dataclasses.asdict(harness.default_config("toy"))
-    data[block][key] = value
+    (data[block] if block else data)[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return path
@@ -93,7 +103,9 @@ def test_config_naming_subcarrier_spacing_is_rejected(tmp_path):
     "key, value",
     [("gamma", 1.0), ("buffer_capacity", 101), ("dtype", "float16"),
      ("buffer_capacity", 0), ("buffer_capacity", -2), ("batch_size", 0),
-     ("horizon", -1), ("hidden_sizes", [0])],
+     ("horizon", -1), ("hidden_sizes", [0]),
+     ("buffer_capacity", 200),  # below 2 * batch_size (128): no batch is ever drawn
+     ("warmup_transitions", 20_002)],  # above buffer_capacity: the gate never opens
 )
 def test_config_agent_block_is_checked_at_load(tmp_path, key, value):
     with pytest.raises(ConfigurationError, match=f"config.agent: {key}"):
@@ -131,14 +143,23 @@ def test_config_blocks_are_checked_at_load(tmp_path, block, key, value, field):
     ],
 )
 def test_config_values_of_the_wrong_type_are_rejected_at_load(tmp_path, block, key, value):
-    data = dataclasses.asdict(harness.default_config("toy"))
-    (data[block] if block else data)[key] = value
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(data))
     with pytest.raises(ConfigurationError) as info:
-        harness.load_config(path)
+        harness.load_config(_edited_config(tmp_path, block, key, value))
     where = f"config.{block}" if block else "config"
     assert f"{where}: {key} must be" in str(info.value)
+
+
+def test_config_without_an_adaptation_episode_is_rejected_at_load(tmp_path):
+    # The adaptation budget is round(0.1 * outer_iters): 0 episodes at 5.
+    with pytest.raises(ConfigurationError, match="schedule: outer_iters"):
+        harness.load_config(_edited_config(tmp_path, "schedule", "outer_iters", 5))
+    cfg = harness.load_config(_edited_config(tmp_path, "schedule", "outer_iters", 6))
+    assert cfg.meta_schedule().adapt_budget == 1
+
+
+def test_config_with_a_repeated_seed_is_rejected_at_load(tmp_path):
+    with pytest.raises(ConfigurationError, match="seeds: "):
+        harness.load_config(_edited_config(tmp_path, None, "seeds", [0, 1, 0]))
 
 
 @pytest.mark.parametrize("block", ["tasks", "new_task"])

@@ -265,15 +265,15 @@ def test_actor_gradients_match_finite_differences():
 def test_train_step_moves_online_and_target_networks():
     agent = make_agent()
     batch = random_batch(agent, b=agent.hyper.batch_size)
-    a0 = agent.actor_vector().copy()
-    c0 = agent.critic_vector().copy()
+    a0 = agent.actor.flat.copy()
+    c0 = agent.critic.flat.copy()
     ta0 = nets.params_as_vector(agent.target_actor).copy()
     agent.train_step(batch)
-    assert not np.allclose(agent.actor_vector(), a0)
-    assert not np.allclose(agent.critic_vector(), c0)
+    assert not np.allclose(agent.actor.flat, a0)
+    assert not np.allclose(agent.critic.flat, c0)
     ta1 = nets.params_as_vector(agent.target_actor)
     # Target moved tau of the way toward the new online parameters.
-    want = (1 - agent.hyper.tau) * ta0 + agent.hyper.tau * agent.actor_vector()
+    want = (1 - agent.hyper.tau) * ta0 + agent.hyper.tau * agent.actor.flat
     assert np.allclose(ta1, want, atol=1e-12)
 
 
@@ -296,10 +296,10 @@ def test_load_vectors_resets_targets_and_optimizers():
     agent = make_agent()
     other = make_agent(seed=99)
     agent.critic_opt.step_count = 17
-    agent.load_vectors(other.actor_vector(), other.critic_vector())
-    assert np.array_equal(agent.actor_vector(), other.actor_vector())
+    agent.load_vectors(other.actor.flat, other.critic.flat)
+    assert np.array_equal(agent.actor.flat, other.actor.flat)
     assert np.array_equal(
-        nets.params_as_vector(agent.target_critic), other.critic_vector()
+        nets.params_as_vector(agent.target_critic), other.critic.flat
     )
     assert agent.critic_opt.step_count == 0
     assert agent.actor_opt.lr == agent.hyper.effective_actor_lr
@@ -316,7 +316,7 @@ def test_load_vectors_reloads_in_place():
               agent.critic_opt.m, agent.critic_opt.v]
     assert agent.critic_opt.m.any() and agent.actor_opt.step_count == 3
     other = make_agent(seed=99, hidden_sizes=(64, 64))
-    vectors = other.actor_vector(), other.critic_vector()
+    vectors = other.actor.flat, other.critic.flat
     tracemalloc.start()
     agent.load_vectors(*vectors)
     peak = tracemalloc.get_traced_memory()[1]
@@ -334,18 +334,18 @@ def test_load_vectors_reloads_in_place():
 
 
 def test_warmup_gate_blocks_updates():
-    agent = make_agent(warmup_transitions=10_000)
+    agent = make_agent(warmup_transitions=64)
     env = ConstantRewardEnv(3)
-    before = agent.actor_vector().copy()
-    run_episode(agent, env, horizon=20, explore=True, train=True)
+    before = agent.actor.flat.copy()
+    run_episode(agent, env, horizon=20, train=True)
     assert len(agent.buffer) == 20
-    assert np.array_equal(agent.actor_vector(), before)
+    assert np.array_equal(agent.actor.flat, before)
 
 
 def test_run_episode_return_and_qos_bookkeeping():
     agent = make_agent()
     env = ConstantRewardEnv(3)
-    ret, qos = run_episode(agent, env, horizon=3, explore=False, train=False)
+    ret, qos = run_episode(agent, env, horizon=3, train=False)
     assert np.isclose(ret, 1 + 0.9 + 0.81)
     assert qos == {"q_avg": 2.0, "q_min": 1.0, "q_max": 3.0}
 
@@ -363,9 +363,9 @@ def test_evaluate_policy_constant_reward():
 def test_training_episode_updates_once_buffer_is_ready():
     agent = make_agent(batch_size=4)
     env = ConstantRewardEnv(3)
-    before = agent.critic_vector().copy()
-    run_episode(agent, env, horizon=20, explore=True, train=True)
-    assert not np.array_equal(agent.critic_vector(), before)
+    before = agent.critic.flat.copy()
+    run_episode(agent, env, horizon=20, train=True)
+    assert not np.array_equal(agent.critic.flat, before)
     assert agent.noise_std < agent.hyper.noise_std  # schedule advanced
 
 
@@ -375,14 +375,14 @@ def test_training_episode_updates_once_buffer_is_ready():
 def test_save_load_agent_round_trip(tmp_path):
     agent = make_agent(batch_size=4)
     env = ConstantRewardEnv(3)
-    run_episode(agent, env, horizon=20, explore=True, train=True)
+    run_episode(agent, env, horizon=20, train=True)
     path = tmp_path / "agent.npz"
     save_agent(path, agent)
     back = load_agent(path)
     assert back.hyper == agent.hyper
     assert back.noise_std == agent.noise_std
-    assert np.array_equal(back.actor_vector(), agent.actor_vector())
-    assert np.array_equal(back.critic_vector(), agent.critic_vector())
+    assert np.array_equal(back.actor.flat, agent.actor.flat)
+    assert np.array_equal(back.critic.flat, agent.critic.flat)
     assert np.array_equal(
         nets.params_as_vector(back.target_actor),
         nets.params_as_vector(agent.target_actor),
@@ -400,4 +400,4 @@ def test_save_load_agent_path_without_suffix(tmp_path):
     path = tmp_path / "agent"
     save_agent(path, agent)
     assert [p.name for p in tmp_path.iterdir()] == ["agent"]  # no ".npz" added
-    assert np.array_equal(load_agent(path).actor_vector(), agent.actor_vector())
+    assert np.array_equal(load_agent(path).actor.flat, agent.actor.flat)

@@ -35,8 +35,8 @@ def ref_reset(config, rng):
     return cell.EnvSnapshot(positions, speeds, directions, traffic, 0)
 
 
-def ref_step_mobility(s, config, dt, rng, crossings):
-    step = (s.ue_speeds * dt)[:, None] * np.stack(
+def ref_step_mobility(s, config, rng, crossings):
+    step = s.ue_speeds[:, None] * np.stack(
         [np.cos(s.ue_directions), np.sin(s.ue_directions)], axis=1
     )
     pos = s.ue_positions + step
@@ -54,9 +54,9 @@ def ref_step_mobility(s, config, dt, rng, crossings):
                    time_index=s.time_index + 1)
 
 
-def ref_step_traffic(s, rng, switch_prob=cell.TRAFFIC_SWITCH_PROB):
+def ref_step_traffic(s, rng):
     n = len(s.traffic_levels)
-    switch = rng.uniform(size=n) < switch_prob
+    switch = rng.uniform(size=n) < cell.TRAFFIC_SWITCH_PROB
     offsets = rng.integers(1, len(TRAFFIC_LEVELS), size=n)
     levels = s.traffic_levels.copy()
     levels[switch] = (levels[switch] + offsets[switch]) % len(TRAFFIC_LEVELS)
@@ -130,9 +130,9 @@ def ref_reward(qos, penalties, task):
 class ReferenceEnv:
     """TaskEnv as composed before the lean step; counts edge crossings."""
 
-    def __init__(self, task, rng, dt=1.0, stationary=False):
+    def __init__(self, task, rng, stationary=False):
         self.task, self.config, self.rng = task, task.cell_config, rng
-        self.dt, self.stationary = dt, stationary
+        self.stationary = stationary
         self.crossings = []
 
     def reset(self):
@@ -148,7 +148,7 @@ class ReferenceEnv:
     def step(self, raw):
         s = self.snapshot
         if not self.stationary:
-            s = ref_step_mobility(s, self.config, self.dt, self.rng, self.crossings)
+            s = ref_step_mobility(s, self.config, self.rng, self.crossings)
             s = ref_step_traffic(s, self.rng)
         ch = cell.sample_channel(s, self.config, self.rng)
         alloc = first_fit_decode(raw, self.config, idle_mask=~s.active_mask)

@@ -126,7 +126,7 @@ def test_meta_outer_iteration_keeps_every_array_float32(monkeypatch):
 def test_float32_gradients_match_float64():
     agent64 = DdpgAgent(6, 4, hyper("float64"), np.random.default_rng(0))
     agent32 = DdpgAgent(6, 4, hyper("float32"), np.random.default_rng(0))
-    agent32.load_vectors(agent64.actor_vector(), agent64.critic_vector())
+    agent32.load_vectors(agent64.actor.flat, agent64.critic.flat)
     batch = random_batch(6, 4)
     for which in ("critic_gradients", "actor_gradients"):
         loss64, g64 = getattr(agent64, which)(batch)
@@ -165,7 +165,7 @@ def test_meta_checkpoint_keeps_float32(tmp_path):
 
 
 def test_float64_is_the_default():
-    agent = DdpgAgent(3, 2, Hyper(hidden_sizes=(8,), buffer_capacity=64),
+    agent = DdpgAgent(3, 2, Hyper(hidden_sizes=(8,), batch_size=8, buffer_capacity=64),
                       np.random.default_rng(0))
     assert all(a.dtype == np.float64 for a in agent_arrays(agent).values())
     assert nets.init_network((2, 3), seed=0).flat.dtype == np.float64

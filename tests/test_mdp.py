@@ -143,7 +143,7 @@ def test_decode_owner_vector_properties(inputs):
     assert assigned == min(int(a.rb_requested.sum()), k)
     assert (owner[:assigned] >= 0).all() and (owner[assigned:] == -1).all()
     assert (np.diff(owner[:assigned]) >= 0).all()  # first fit, ascending UE order
-    snap = cell.reset(cfg, seed=0)
+    snap = cell.reset(cfg, np.random.default_rng(0))
     ch = cell.sample_channel(snap, cfg, np.random.default_rng(0))
     report = cell.compute_rates(a, ch, snap, cfg)  # every decode is accepted
     assert report.per_ue_rate.shape == (n,)

@@ -84,7 +84,7 @@ def test_meta_model_and_agent_share_one_initializer():
     agent = DdpgAgent(5, 2, h, agent_rng)
     assert agent_rng.bit_generator.state == rng.bit_generator.state
     for actor_vec, critic_vec in ((m.actor_vec, m.critic_vec),
-                                  (agent.actor_vector(), agent.critic_vector())):
+                                  (agent.actor.flat, agent.critic.flat)):
         assert actor_vec.tobytes() == actor.flat.tobytes()
         assert critic_vec.tobytes() == critic.flat.tobytes()
 
@@ -170,16 +170,16 @@ def test_agents_restart_from_meta_params_every_iteration(monkeypatch):
     seen, episodes = [], []
 
     def hook(it, meta_model, learner):
-        assert np.array_equal(learner.actor_vector(), meta_model.actor_vec)
-        assert np.array_equal(learner.critic_vector(), meta_model.critic_vec)
+        assert np.array_equal(learner.actor.flat, meta_model.actor_vec)
+        assert np.array_equal(learner.critic.flat, meta_model.critic_vec)
         seen.append((meta_model.actor_vec.copy(), meta_model.critic_vec.copy()))
 
     def checked_episode(agent, env, *args, **kwargs):
         # Each task's first episode of an iteration starts at the meta
         # parameters, which change only after the last task's turn.
         if len(episodes) % sched.eval_episodes == 0:
-            assert np.array_equal(agent.actor_vector(), seen[-1][0])
-            assert np.array_equal(agent.critic_vector(), seen[-1][1])
+            assert np.array_equal(agent.actor.flat, seen[-1][0])
+            assert np.array_equal(agent.critic.flat, seen[-1][1])
         episodes.append(env)
         return run_episode(agent, env, *args, **kwargs)
 
@@ -210,7 +210,7 @@ def reference_meta_train(tasks, schedule, hyper, seed):
         actor_grads, critic_grads = [], []
         for env, agent, qrng in zip(envs, agents, qrngs):
             for _ in range(schedule.eval_episodes):
-                run_episode(agent, env, hyper.horizon, explore=True, train=True)
+                run_episode(agent, env, hyper.horizon, train=True)
             grads = query_gradients(agent, qrng)
             if grads is not None:
                 actor_grads.append(grads[0])
@@ -297,8 +297,8 @@ def test_zero_budget_returns_meta_parameters_exactly():
     model = random_init_model(task, h, seed=3)
     agent, trace = inner_adapt(model, task, budget=0, hyper=h, seed=3)
     assert trace == []
-    assert np.array_equal(agent.actor_vector(), model.actor_vec)
-    assert np.array_equal(agent.critic_vector(), model.critic_vec)
+    assert np.array_equal(agent.actor.flat, model.actor_vec)
+    assert np.array_equal(agent.critic.flat, model.critic_vec)
 
 
 def test_adaptation_trace_shape_and_determinism():
@@ -331,7 +331,7 @@ def test_scratch_equals_adaptation_from_untrained_model():
     agent_a, trace_a = inner_adapt(model, task, budget=3, hyper=h, seed=6)
     agent_b, trace_b = run_baseline("scratch", task, [tiny_task(6, 0)], 3, h, seed=6)
     assert trace_a == trace_b
-    assert np.array_equal(agent_a.actor_vector(), agent_b.actor_vector())
+    assert np.array_equal(agent_a.actor.flat, agent_b.actor.flat)
 
 
 def test_meta_adapt_new_uses_schedule_budget():
@@ -383,7 +383,7 @@ def test_tl_differs_from_scratch():
     donors = [tiny_task(6, 0)]
     agent_tl, _ = run_baseline("tl", new, donors, 1, h, seed=1, donor_budget=3)
     agent_sc, _ = run_baseline("scratch", new, donors, 1, h, seed=1)
-    assert not np.array_equal(agent_tl.actor_vector(), agent_sc.actor_vector())
+    assert not np.array_equal(agent_tl.actor.flat, agent_sc.actor.flat)
 
 
 def test_tl_pretrains_without_evaluations(monkeypatch):
@@ -403,21 +403,24 @@ def test_tl_pretrains_without_evaluations(monkeypatch):
 
 
 def test_tl_equals_pretraining_through_inner_adapt():
-    # Reference: the donor trained through inner_adapt, whose greedy
-    # evaluations draw only from their own env stream, then fine-tuned.
+    # Reference: the donor trained as inner_adapt trains, on the tl-donor
+    # streams with a greedy evaluation after every shot (the evaluations draw
+    # only from their own env stream), then fine-tuned.
     h = tiny_hyper()
     new, donor = tiny_task(4, task_id=2), tiny_task(6, 0)
     init = random_init_model(donor, h, seed=3)
-    donor_agent, _ = inner_adapt(init, donor, 5, h, seed=3, stream="tl-donor")
-    donor_model = replace(init, actor_vec=donor_agent.actor_vector(),
-                          critic_vec=donor_agent.critic_vector())
+    donor_agent, env = meta_mod._task_agent(init, donor, h, 3, "tl-donor")
+    eval_env = TaskEnv(donor, derive_rng(3, "tl-donor", "eval-env", donor.task_id))
+    meta_mod._shots(donor_agent, [env] * 5, eval_env)
+    donor_model = replace(init, actor_vec=donor_agent.actor.flat,
+                          critic_vec=donor_agent.critic.flat)
     ref_agent, ref_trace = inner_adapt(donor_model, new, 2, h, seed=3)
     assert donor_agent.actor_opt.step_count > 0  # the donor did train
 
     agent, trace = run_baseline("tl", new, [donor], 2, h, seed=3, donor_budget=5)
     assert repr(trace) == repr(ref_trace)
-    assert agent.actor_vector().tobytes() == ref_agent.actor_vector().tobytes()
-    assert agent.critic_vector().tobytes() == ref_agent.critic_vector().tobytes()
+    assert agent.actor.flat.tobytes() == ref_agent.actor.flat.tobytes()
+    assert agent.critic.flat.tobytes() == ref_agent.critic.flat.tobytes()
 
 
 # -- checkpointing -----------------------------------------------------------
