@@ -10,8 +10,10 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import ddpg, meta as meta_mod
+from . import meta as meta_mod
+from .ddpg import DdpgAgent, evaluate_policy
 from .episode import TaskEnv
+from .errors import ConfigurationError
 from .harness import MetricsLog, _record_trace, default_config, load_config
 from .harness import run_experiment, summarize
 from .seeding import derive_rng
@@ -30,6 +32,17 @@ def _resolve_config(args):
     if changes:
         config = dataclasses.replace(config, **changes)
     return config
+
+
+def _load_model(path, new_task, hyper) -> meta_mod.MetaModel:
+    """The model checkpoint at path, checked against the networks the config
+    builds for the new task; ConfigurationError naming the file otherwise."""
+    model = meta_mod.load_meta_model(path)
+    fresh = meta_mod.init_meta_model(*meta_mod.task_dims(new_task), hyper, seed=0)
+    for name in ("actor_vec", "critic_vec"):
+        if getattr(model, name).shape != getattr(fresh, name).shape:
+            raise ConfigurationError(f"{path}: {name} does not fit the config's networks")
+    return model
 
 
 def _add_common(parser):
@@ -54,15 +67,15 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("adapt", help="adapt a saved meta model to the new task")
     _add_common(p)
-    p.add_argument("--checkpoint", metavar="PATH", help="meta model .npz")
+    p.add_argument("--checkpoint", metavar="PATH", help="model .npz")
 
     p = sub.add_parser("baseline", help="run a baseline method on the new task")
     _add_common(p)
     p.add_argument("--kind", choices=("scratch", "tl", "mtl"), required=True)
 
-    p = sub.add_parser("eval", help="evaluate a saved agent on the new task")
+    p = sub.add_parser("eval", help="evaluate a model checkpoint greedily on the new task")
     _add_common(p)
-    p.add_argument("--checkpoint", metavar="PATH", required=True, help="agent .npz")
+    p.add_argument("--checkpoint", metavar="PATH", required=True, help="model .npz")
     p.add_argument("--episodes", type=int, default=5)
 
     p = sub.add_parser("summarize", help="summarize metric CSVs in a directory")
@@ -90,9 +103,10 @@ def main(argv=None) -> int:
         new_task = config.new_task_spec()
         for seed in config.seeds:
             ckpt = args.checkpoint or out / f"meta_model_seed{seed}.npz"
-            model = meta_mod.load_meta_model(ckpt)
+            model = _load_model(ckpt, new_task, hyper)
             agent, trace = meta_mod.meta_adapt_new(model, new_task, schedule, hyper, seed)
-            ddpg.save_agent(out / f"adapted_agent_seed{seed}.npz", agent)
+            meta_mod.save_meta_model(out / f"adapted_agent_seed{seed}.npz",
+                                     meta_mod.agent_model(agent))
             log = MetricsLog()
             _record_trace(log, "meta", new_task.task_id, seed, trace)
             log.write_csvs(out)
@@ -105,12 +119,15 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "eval":
-        agent = ddpg.load_agent(args.checkpoint)
         new_task = config.new_task_spec()
         hyper = config.hyper()
         seed = config.seeds[0]
+        model = _load_model(args.checkpoint, new_task, hyper)
+        agent = DdpgAgent(*meta_mod.task_dims(new_task), hyper,
+                          derive_rng(seed, "cli-eval", "agent"))
+        agent.load_vectors(model.actor_vec, model.critic_vec)
         env = TaskEnv(new_task, derive_rng(seed, "cli-eval", "env"))
-        ret = ddpg.evaluate_policy(agent, env, args.episodes, hyper.horizon)["episode_return"]
+        ret = evaluate_policy(agent, env, args.episodes, hyper.horizon)["episode_return"]
         print(f"mean discounted return over {args.episodes} episodes: {ret:.6f}")
         return 0
 

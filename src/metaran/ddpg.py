@@ -1,6 +1,6 @@
 """DDPG inner learner: replay buffer, actor-critic updates, evaluation."""
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,33 +292,3 @@ def evaluate_policy(agent: DdpgAgent, env, episodes: int, horizon: int) -> dict:
         qoses.append(qos)
     mean_qos = {k: float(np.mean([q[k] for q in qoses])) for k in qoses[0]}
     return {"episode_return": float(np.mean(rets)), **mean_qos}
-
-
-# -- checkpointing ---------------------------------------------------------
-
-
-def save_agent(path, agent: DdpgAgent) -> None:
-    """Full agent checkpoint: networks, optimizer states, noise position."""
-    nets.save_checkpoint(
-        path,
-        {"obs_dim": int(agent.obs_dim), "act_dim": int(agent.act_dim),
-         "hyper": asdict(agent.hyper), "noise_std": agent.noise_std},
-        actor=agent.actor.flat,
-        critic=agent.critic.flat,
-        target_actor=agent.target_actor.flat,
-        target_critic=agent.target_critic.flat,
-        actor_opt=agent.actor_opt,
-        critic_opt=agent.critic_opt,
-    )
-
-
-def load_agent(path) -> DdpgAgent:
-    header, arrays = nets.load_checkpoint(path)
-    fields = header["hyper"]
-    hyper = Hyper(**{**fields, "hidden_sizes": tuple(fields["hidden_sizes"])})
-    agent = DdpgAgent(header["obs_dim"], header["act_dim"], hyper, np.random.default_rng(0))
-    for name in ("actor", "critic", "target_actor", "target_critic"):
-        nets.set_params_from_vector(getattr(agent, name), arrays[name])
-    agent.actor_opt, agent.critic_opt = arrays["actor_opt"], arrays["critic_opt"]
-    agent.noise_std = header["noise_std"]
-    return agent

@@ -1,4 +1,4 @@
-"""Experiment driver: config files, metric collection, CDFs, summaries."""
+"""Experiment harness: config files, metric collection, summaries."""
 
 import csv
 import dataclasses
@@ -20,6 +20,10 @@ from .meta import MetaSchedule
 
 SCHEMA_VERSION = 1
 METHODS = ("meta", "scratch", "tl", "mtl")
+# A method's final return on a seed is the mean of its last FINAL_SHOTS
+# adaptation shots (all of them when there are fewer): one shot of a few
+# greedy episodes is too noisy to rank methods on.
+FINAL_SHOTS = 5
 CSV_COLUMNS = ("episode", "return", "q_avg", "q_min", "q_max")
 # A method CSV in a run directory, as write_csvs names it; other files are not read.
 METHOD_CSV = re.compile(rf"({'|'.join(METHODS)})_seed(-?\d+)\.csv")
@@ -91,7 +95,7 @@ class ExperimentConfig:
         if self.meta_schedule().adapt_budget < 1:
             raise ConfigurationError(
                 f"schedule: outer_iters {self.schedule.outer_iters} leaves no adaptation "
-                "episode (the budget is 10% of outer_iters, rounded)"
+                "episode (the budget is 10% of outer_iters, halves rounded up)"
             )
 
     # -- derived objects ---------------------------------------------------
@@ -374,16 +378,6 @@ def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
 # -- analysis --------------------------------------------------------------
 
 
-def compute_cdf(samples) -> list:
-    """Empirical CDF: sorted values with F(x_i) = i/n (i one-based)."""
-    samples = list(samples)
-    if not samples:
-        raise ConfigurationError("compute_cdf needs at least one sample")
-    values = np.sort(np.asarray(samples, dtype=float))
-    n = len(values)
-    return [(float(v), (i + 1) / n) for i, v in enumerate(values)]
-
-
 def five_number_summary(samples) -> tuple:
     """(min, Q1, median, Q3, max)."""
     arr = np.asarray(list(samples), dtype=float)
@@ -409,13 +403,14 @@ def summarize(log: MetricsLog) -> str:
     if missing:
         lines.append(f"WARNING: no records for {missing}; partial report")
         lines.append("")
-    lines.append("== Final mean discounted return (per method) ==")
+    lines.append(f"== Final mean discounted return (per method; per seed the mean of the "
+                 f"last min({FINAL_SHOTS}, shots) shots) ==")
     finals = {}
     for method in methods:
         per_seed = []
         for seed in sorted({r["seed"] for r in log.select(method=method)}):
             rows = log.select(method=method, seed=seed)
-            per_seed.append(rows[-1]["return"])
+            per_seed.append(np.mean([r["return"] for r in rows[-FINAL_SHOTS:]]))
         mean = float(np.mean(per_seed))
         std = float(np.std(per_seed))
         finals[method] = mean

@@ -7,7 +7,7 @@ sample evaluated at the adapted parameters. The meta parameters take one Adam
 step on the task-summed query gradients.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,9 @@ class MetaSchedule:
 
     @property
     def adapt_budget(self) -> int:
-        """Adaptation episodes on a new task: 10% of the outer iterations."""
-        return round(0.1 * self.outer_iters)
+        """Adaptation episodes on a new task: 10% of the outer iterations,
+        halves rounded up."""
+        return (self.outer_iters + 5) // 10
 
 
 @dataclass
@@ -72,6 +73,13 @@ def init_meta_model(
         ),
         critic_opt=nets.init_adam(critic.flat, lr=critic_lr if critic_lr > 0 else hyper.lr),
     )
+
+
+def agent_model(agent: DdpgAgent) -> MetaModel:
+    """The agent's online parameters (copied) and optimizer states as a
+    model record, the form every model checkpoint takes."""
+    return MetaModel(nets.params_as_vector(agent.actor), nets.params_as_vector(agent.critic),
+                     agent.actor_opt, agent.critic_opt)
 
 
 def task_dims(task: TaskSpec) -> tuple:
@@ -259,9 +267,7 @@ def run_baseline(
         donor_agent, env = _task_agent(init, donor, hyper, seed, "tl-donor")
         for _ in range(donor_budget):
             run_episode(donor_agent, env, hyper.horizon, train=True)
-        donor_model = replace(init, actor_vec=nets.params_as_vector(donor_agent.actor),
-                              critic_vec=nets.params_as_vector(donor_agent.critic))
-        return inner_adapt(donor_model, new_task, budget, hyper, seed)
+        return inner_adapt(agent_model(donor_agent), new_task, budget, hyper, seed)
 
     if kind == "mtl":
         rng = derive_rng(seed, "mtl", "task-pick")
@@ -290,7 +296,11 @@ def save_meta_model(path, meta: MetaModel) -> None:
 
 
 def load_meta_model(path) -> MetaModel:
+    """A model checkpoint, meta or adapted, as save_meta_model writes it."""
     # Older version-2 files also carry actor_sizes and critic_sizes in the
     # header; the layer sizes follow from the config, so they are not read.
     _, arrays = nets.load_checkpoint(path)
-    return MetaModel(**arrays)
+    try:
+        return MetaModel(**arrays)
+    except TypeError as exc:  # other arrays, such as an agent's target networks
+        raise ConfigurationError(f"{path}: not a model checkpoint ({exc})") from exc

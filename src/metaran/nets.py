@@ -28,7 +28,7 @@ KERNEL_BLOCK = 32_768
 # Network dtypes: float64 is the reference, float32 the fast opt-in.
 DTYPES = ("float64", "float32")
 
-# Format of every npz checkpoint (agents, meta models). load_checkpoint
+# Format of every npz checkpoint (model records). load_checkpoint
 # rejects any other version, and files without a header, as unreadable.
 CHECKPOINT_VERSION = 2
 

@@ -352,23 +352,11 @@ def test_structural_properties_of_meta_loop():
     assert time.perf_counter() - start < 60.0
 
 
-# -- 10. CDF and summary statistics (< 1 s) ------------------------------------
+# -- 10. summary statistics (< 1 s) ------------------------------------------
 
 
 def test_cdf_and_gain_fixtures():
     start = time.perf_counter()
-    assert harness.compute_cdf([3.0, 1.0, 2.0]) == [
-        (1.0, pytest.approx(1 / 3)),
-        (2.0, pytest.approx(2 / 3)),
-        (3.0, pytest.approx(1.0)),
-    ]
-    samples = np.random.default_rng(0).exponential(1.0, size=10_000)
-    cdf = harness.compute_cdf(samples)
-    values = np.array([v for v, _ in cdf])
-    fractions = np.array([f for _, f in cdf])
-    at_one = fractions[np.searchsorted(values, 1.0)]
-    assert abs(at_one - (1 - np.exp(-1))) < 0.02
-
     assert harness.five_number_summary([5, 1, 4, 2, 3]) == (1.0, 2.0, 3.0, 4.0, 5.0)
     assert harness.relative_gain(1.198, 1.0) == pytest.approx(0.198)
     assert time.perf_counter() - start < 1.0

@@ -2,27 +2,32 @@
 
 import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 
-from metaran import cli
+from metaran import cli, meta, nets
+from metaran.ddpg import DdpgAgent, evaluate_policy
+from metaran.episode import TaskEnv
 from metaran.errors import ConfigurationError
 from metaran.harness import MetricsLog, default_config
+from metaran.seeding import derive_rng
 
 
-def write_small_config(tmp_path):
+def write_small_config(tmp_path, outer_iters=10, hidden_sizes=(8,), name="config.json"):
     cfg = default_config("toy", out_dir=str(tmp_path / "out"))
     cfg = dataclasses.replace(
         cfg,
-        schedule=dataclasses.replace(cfg.schedule, outer_iters=10),
+        schedule=dataclasses.replace(cfg.schedule, outer_iters=outer_iters),
         agent=dataclasses.replace(
-            cfg.agent, batch_size=8, horizon=6, hidden_sizes=(8,),
+            cfg.agent, batch_size=8, horizon=6, hidden_sizes=hidden_sizes,
             warmup_transitions=0,
         ),
         seeds=(0,),
         donor_budget=1,
     )
-    path = tmp_path / "config.json"
+    path = tmp_path / name
     path.write_text(json.dumps(dataclasses.asdict(cfg)))
     return path, cfg
 
@@ -70,31 +75,90 @@ def test_seed_and_out_overrides(tmp_path):
     assert (other / "scratch_seed7.csv").exists()
 
 
-def test_meta_train_then_eval(tmp_path, capsys):
-    config_path, cfg = write_small_config(tmp_path)
-    rc = cli.main(["meta-train", "--config", str(config_path)])
-    assert rc == 0
-    out_dir = tmp_path / "out"
-    assert (out_dir / "meta_model_seed0.npz").exists()
-
-    rc = cli.main(["adapt", "--config", str(config_path)])
-    assert rc == 0
-    ckpt = out_dir / "adapted_agent_seed0.npz"
-    assert ckpt.exists()
-
+def _eval_line(config_path, ckpt, capsys):
     capsys.readouterr()
-    rc = cli.main([
-        "eval", "--config", str(config_path),
-        "--checkpoint", str(ckpt), "--episodes", "2",
-    ])
-    assert rc == 0
-    assert "mean discounted return" in capsys.readouterr().out
+    assert cli.main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--episodes", "2"]) == 0
+    return capsys.readouterr().out.strip()
+
+
+def _greedy_line(agent, cfg):
+    """What eval prints for an agent with these parameters."""
+    env = TaskEnv(cfg.new_task_spec(), derive_rng(0, "cli-eval", "env"))
+    ret = evaluate_policy(agent, env, 2, cfg.hyper().horizon)["episode_return"]
+    return f"mean discounted return over 2 episodes: {ret:.6f}"
+
+
+def test_meta_train_then_eval(tmp_path, capsys):
+    # 30 outer iterations give 3 adaptation episodes of 6 steps, so the
+    # adapted agent takes Adam steps once its buffer holds 2 * 8 transitions.
+    config_path, cfg = write_small_config(tmp_path, outer_iters=30)
+    assert cli.main(["meta-train", "--config", str(config_path)]) == 0
+    out_dir = tmp_path / "out"
+    assert cli.main(["adapt", "--config", str(config_path)]) == 0
+    ckpt = out_dir / "adapted_agent_seed0.npz"
+
+    model = meta.load_meta_model(out_dir / "meta_model_seed0.npz")
+    agent, _ = meta.meta_adapt_new(model, cfg.new_task_spec(), cfg.meta_schedule(),
+                                   cfg.hyper(), 0)
+    saved = meta.load_meta_model(ckpt)
+    assert np.array_equal(saved.actor_vec, agent.actor.flat)
+    assert np.array_equal(saved.critic_vec, agent.critic.flat)
+    assert saved.actor_opt.step_count == agent.actor_opt.step_count > 0
+    assert np.array_equal(saved.critic_opt.v, agent.critic_opt.v)
+    assert _eval_line(config_path, ckpt, capsys) == _greedy_line(agent, cfg)
+
+
+def test_eval_of_a_meta_checkpoint(tmp_path, capsys):
+    config_path, cfg = write_small_config(tmp_path)
+    assert cli.main(["meta-train", "--config", str(config_path)]) == 0
+    ckpt = tmp_path / "out" / "meta_model_seed0.npz"
+    # A zero-budget adaptation is the agent at the meta parameters.
+    agent, _ = meta.inner_adapt(meta.load_meta_model(ckpt), cfg.new_task_spec(), 0,
+                                cfg.hyper(), 0)
+    assert _eval_line(config_path, ckpt, capsys) == _greedy_line(agent, cfg)
+
+
+def _commands(config_path, ckpt):
+    return [["adapt", "--config", str(config_path), "--checkpoint", str(ckpt)],
+            ["eval", "--config", str(config_path), "--checkpoint", str(ckpt)]]
+
+
+def test_a_checkpoint_from_another_config_names_the_file(tmp_path):
+    other_path, _ = write_small_config(tmp_path, hidden_sizes=(16,), name="other.json")
+    assert cli.main(["meta-train", "--config", str(other_path)]) == 0
+    ckpt = tmp_path / "out" / "meta_model_seed0.npz"
+    config_path, _ = write_small_config(tmp_path)
+    for argv in _commands(config_path, ckpt):
+        with pytest.raises(ConfigurationError, match=f"{re.escape(str(ckpt))}: actor_vec"):
+            cli.main(argv)
+
+
+def test_an_old_agent_checkpoint_names_the_file(tmp_path):
+    # The agent schema that adapt wrote before it saved a model record:
+    # online and target networks, optimizer states, dims, noise and hyper.
+    config_path, cfg = write_small_config(tmp_path)
+    agent = DdpgAgent(*meta.task_dims(cfg.new_task_spec()), cfg.hyper(),
+                      np.random.default_rng(0))
+    ckpt = tmp_path / "adapted_agent_seed0.npz"
+    nets.save_checkpoint(
+        ckpt,
+        {"obs_dim": agent.obs_dim, "act_dim": agent.act_dim,
+         "hyper": dataclasses.asdict(agent.hyper), "noise_std": agent.noise_std},
+        actor=agent.actor.flat, critic=agent.critic.flat,
+        target_actor=agent.target_actor.flat, target_critic=agent.target_critic.flat,
+        actor_opt=agent.actor_opt, critic_opt=agent.critic_opt,
+    )
+    for argv in _commands(config_path, ckpt):
+        with pytest.raises(ConfigurationError,
+                           match=f"{re.escape(str(ckpt))}: not a model checkpoint"):
+            cli.main(argv)
 
 
 def test_adapt_rejects_a_schedule_without_an_adaptation_episode(tmp_path):
     config_path, _ = write_small_config(tmp_path)
     data = json.loads(config_path.read_text())
-    data["schedule"]["outer_iters"] = 5  # round(0.1 * 5) = 0 adaptation episodes
+    data["schedule"]["outer_iters"] = 4  # (4 + 5) // 10 = 0 adaptation episodes
     config_path.write_text(json.dumps(data))
     with pytest.raises(ConfigurationError, match="schedule: outer_iters"):
         cli.main(["adapt", "--config", str(config_path)])

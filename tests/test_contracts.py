@@ -150,10 +150,10 @@ def test_config_values_of_the_wrong_type_are_rejected_at_load(tmp_path, block, k
 
 
 def test_config_without_an_adaptation_episode_is_rejected_at_load(tmp_path):
-    # The adaptation budget is round(0.1 * outer_iters): 0 episodes at 5.
+    # The adaptation budget is (outer_iters + 5) // 10: 0 episodes at 4.
     with pytest.raises(ConfigurationError, match="schedule: outer_iters"):
-        harness.load_config(_edited_config(tmp_path, "schedule", "outer_iters", 5))
-    cfg = harness.load_config(_edited_config(tmp_path, "schedule", "outer_iters", 6))
+        harness.load_config(_edited_config(tmp_path, "schedule", "outer_iters", 4))
+    cfg = harness.load_config(_edited_config(tmp_path, "schedule", "outer_iters", 5))
     assert cfg.meta_schedule().adapt_budget == 1
 
 
@@ -214,11 +214,6 @@ def test_only_the_paper_profile_runs_in_float32():
 # -- checkpoint versions -----------------------------------------------------
 
 
-def _agent_checkpoint(path):
-    hyper = ddpg.Hyper(batch_size=4, buffer_capacity=64, horizon=5, hidden_sizes=(8,))
-    ddpg.save_agent(path, ddpg.DdpgAgent(3, 2, hyper, np.random.default_rng(0)))
-
-
 def _meta_checkpoint(path):
     hyper = ddpg.Hyper(hidden_sizes=(8,))
     meta.save_meta_model(path, meta.init_meta_model(3, 2, hyper, seed=0))
@@ -242,10 +237,7 @@ def _no_version(header):
 
 
 @pytest.mark.parametrize("edit", [_version_one, _no_version])
-@pytest.mark.parametrize(
-    "save, load",
-    [(_agent_checkpoint, ddpg.load_agent), (_meta_checkpoint, meta.load_meta_model)],
-)
+@pytest.mark.parametrize("save, load", [(_meta_checkpoint, meta.load_meta_model)])
 def test_loaders_reject_other_checkpoint_versions(tmp_path, save, load, edit):
     path = tmp_path / "ckpt.npz"
     save(path)
@@ -283,7 +275,7 @@ def test_meta_checkpoint_header_has_no_layer_sizes(tmp_path):
     assert set(header) == {"format_version"}
 
 
-@pytest.mark.parametrize("load", [ddpg.load_agent, meta.load_meta_model])
+@pytest.mark.parametrize("load", [meta.load_meta_model])
 def test_loaders_reject_headerless_version_one_layout(tmp_path, load):
     # Version-1 files stored format_version as an array and had no header.
     path = tmp_path / "old.npz"

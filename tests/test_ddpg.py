@@ -1,4 +1,4 @@
-"""Tests for the DDPG learner: buffer, gradients, episode loop, checkpoints."""
+"""Tests for the DDPG learner: buffer, gradients, episode loop."""
 
 import tracemalloc
 
@@ -13,10 +13,8 @@ from metaran.ddpg import (
     ReplayBuffer,
     Transition,
     evaluate_policy,
-    load_agent,
     run_episode,
     sample_batch,
-    save_agent,
 )
 from metaran.errors import (
     BufferNotReady,
@@ -367,37 +365,3 @@ def test_training_episode_updates_once_buffer_is_ready():
     run_episode(agent, env, horizon=20, train=True)
     assert not np.array_equal(agent.critic.flat, before)
     assert agent.noise_std < agent.hyper.noise_std  # schedule advanced
-
-
-# -- checkpointing -----------------------------------------------------------
-
-
-def test_save_load_agent_round_trip(tmp_path):
-    agent = make_agent(batch_size=4)
-    env = ConstantRewardEnv(3)
-    run_episode(agent, env, horizon=20, train=True)
-    path = tmp_path / "agent.npz"
-    save_agent(path, agent)
-    back = load_agent(path)
-    assert back.hyper == agent.hyper
-    assert back.noise_std == agent.noise_std
-    assert np.array_equal(back.actor.flat, agent.actor.flat)
-    assert np.array_equal(back.critic.flat, agent.critic.flat)
-    assert np.array_equal(
-        nets.params_as_vector(back.target_actor),
-        nets.params_as_vector(agent.target_actor),
-    )
-    assert back.critic_opt.step_count == agent.critic_opt.step_count
-    assert np.array_equal(back.critic_opt.m, agent.critic_opt.m)
-    # The restored agent keeps learning without error.
-    s = np.zeros(3)
-    a = back.select_action(s, explore=False)
-    assert np.array_equal(a, agent.select_action(s, explore=False))
-
-
-def test_save_load_agent_path_without_suffix(tmp_path):
-    agent = make_agent()
-    path = tmp_path / "agent"
-    save_agent(path, agent)
-    assert [p.name for p in tmp_path.iterdir()] == ["agent"]  # no ".npz" added
-    assert np.array_equal(load_agent(path).actor.flat, agent.actor.flat)

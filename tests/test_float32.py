@@ -1,6 +1,6 @@
 """The float32 contract: an agent or meta model built with Hyper(dtype=
 "float32") keeps every array in float32, matches float64 gradients closely,
-and keeps its dtype through checkpoints."""
+and keeps its dtype through a model checkpoint."""
 
 import dataclasses
 
@@ -14,9 +14,7 @@ from metaran.ddpg import (
     DdpgAgent,
     Hyper,
     Transition,
-    load_agent,
     sample_batch,
-    save_agent,
 )
 from metaran.mdp import TaskSpec
 from metaran.meta import (
@@ -142,16 +140,6 @@ def test_load_vectors_casts_float64_vectors_into_a_float32_agent():
     agent.load_vectors(model.actor_vec, model.critic_vec)
     assert_float32(agent_arrays(agent))
     assert np.array_equal(agent.actor.flat, model.actor_vec.astype(np.float32))
-
-
-def test_agent_checkpoint_keeps_float32(tmp_path):
-    agent = DdpgAgent(3, 2, hyper("float32"), np.random.default_rng(0))
-    path = tmp_path / "agent.npz"
-    save_agent(path, agent)
-    back = load_agent(path)
-    assert back.hyper.dtype == "float32"
-    assert_float32(agent_arrays(back))
-    assert np.array_equal(back.actor.flat, agent.actor.flat)
 
 
 def test_meta_checkpoint_keeps_float32(tmp_path):

@@ -15,7 +15,6 @@ from metaran.harness import (
     MetricsLog,
     ScheduleBlock,
     TaskBlock,
-    compute_cdf,
     default_config,
     five_number_summary,
     load_config,
@@ -189,24 +188,6 @@ def test_read_csvs_non_numeric_cell_names_the_file(tmp_path):
 # -- analysis ----------------------------------------------------------------
 
 
-def test_compute_cdf_fixture():
-    got = compute_cdf([3.0, 1.0, 2.0])
-    assert got == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)), (3.0, 1.0)]
-    with pytest.raises(ConfigurationError):
-        compute_cdf([])
-
-
-def test_compute_cdf_exponential_monte_carlo():
-    rng = np.random.default_rng(0)
-    samples = rng.exponential(1.0, size=10_000)
-    cdf = compute_cdf(samples)
-    values = np.array([v for v, _ in cdf])
-    fractions = np.array([f for _, f in cdf])
-    # Empirical F(1) should sit near 1 - exp(-1) ~ 0.632.
-    at_one = fractions[np.searchsorted(values, 1.0)]
-    assert abs(at_one - (1 - np.exp(-1))) < 0.02
-
-
 def test_five_number_summary_fixture():
     assert five_number_summary([5, 1, 4, 2, 3]) == (1.0, 2.0, 3.0, 4.0, 5.0)
     with pytest.raises(ConfigurationError):
@@ -229,6 +210,25 @@ def test_summarize_reports_gain_and_warns_on_partial_logs():
     solo.add("meta", 0, 0, 1, -1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
         summarize(solo)
+
+
+def test_summarize_ranks_on_the_mean_of_the_last_five_shots():
+    # By the last shot alone the ranking is scratch > tl > meta; by the mean
+    # of the last five it is meta > tl > scratch. Shot 1 lies outside both.
+    shots = {
+        "meta": [-100.0, -1.0, -1.0, -1.0, -1.0, -5.0],  # last-5 mean -1.8
+        "scratch": [-100.0, -9.0, -9.0, -9.0, -9.0, -2.0],  # last-5 mean -7.6
+        "tl": [-100.0, -3.0, -3.0, -3.0, -3.0, -3.0],  # last-5 mean -3
+    }
+    log = MetricsLog()
+    for method, returns in shots.items():
+        for shot, ret in enumerate(returns, start=1):
+            log.add(method, 1, 0, shot, ret, 1.0, 1.0, 1.0)
+    text = summarize(log)
+    assert "last min(5, shots) shots" in text
+    assert "  meta        -1.800000 +- " in text
+    assert "  scratch     -7.600000 +- " in text
+    assert "Relative gain of meta over best baseline (tl): 40.0%" in text
 
 
 def test_zero_baseline_gain_is_undefined():

@@ -61,6 +61,11 @@ def test_schedule_validation_and_budget():
         MetaSchedule(outer_iters=10, meta_actor_lr=-1.0)
 
 
+def test_adapt_budget_rounds_every_half_up():
+    budgets = [MetaSchedule(outer_iters=n).adapt_budget for n in range(5, 100, 10)]
+    assert budgets == list(range(1, 11))
+
+
 def test_meta_model_shapes_and_step_sizes():
     h = tiny_hyper(actor_lr=2e-4)
     m = init_meta_model(7, 4, h, seed=0)
