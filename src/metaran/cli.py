@@ -15,7 +15,7 @@ from .ddpg import DdpgAgent, evaluate_policy
 from .episode import TaskEnv
 from .errors import ConfigurationError
 from .harness import MetricsLog, _record_trace, default_config, load_config
-from .harness import run_experiment, summarize
+from .harness import final_return, run_experiment, summarize
 from .seeding import derive_rng
 
 
@@ -110,7 +110,8 @@ def main(argv=None) -> int:
             log = MetricsLog()
             _record_trace(log, "meta", new_task.task_id, seed, trace)
             log.write_csvs(out)
-            print(f"seed {seed}: final return {trace[-1]['episode_return']:.4f}")
+            final = final_return([e["episode_return"] for e in trace])
+            print(f"seed {seed}: final return {final:.4f}")
         return 0
 
     if args.command == "baseline":

@@ -34,8 +34,9 @@ class Hyper:
     buffer_capacity: int = 100_000
     horizon: int = 200
     hidden_sizes: tuple = (300, 400, 400)
-    # Extra transitions collected before the first update (0 means updates
-    # start as soon as the buffer can serve disjoint support/query batches).
+    # Updates start once the buffer holds max(warmup_transitions,
+    # 2 * batch_size) transitions; 0 means as soon as it can serve disjoint
+    # support/query batches.
     warmup_transitions: int = 0
     # dtype of the networks, optimizers, replay buffer and meta model:
     # "float64" (the reference) or "float32".

@@ -4,12 +4,6 @@ Per-step ordering: action check -> mobility -> traffic -> channel draw ->
 action decode -> rates -> QoS stats -> penalties -> reward -> observation.
 The observation handed to the agent therefore reflects the world after this
 step's dynamics and the agent's own last action.
-
-The step computes rates with `cell._rates`, which skips the post-hoc
-allocation check of the public `cell.compute_rates`: `mdp.decode_action`
-builds a feasible allocation by construction (one owner per RB, powers in
-[p_min, p_max], idle UEs and unassigned RBs at zero). `reset` keeps the
-checked path.
 """
 
 from dataclasses import replace
@@ -61,7 +55,7 @@ class TaskEnv:
         ch = cell.sample_channel(s, self.config, self.rng)
         idle = ~s.active_mask
         alloc = mdp.decode_action(raw_action, self.config, idle_mask=idle)
-        report = cell._rates(alloc, ch, s, self.config)  # feasible by construction
+        report = cell.compute_rates(alloc, ch, s, self.config)
         qos = mdp.qos_stats(report, self.task)
         penalties = mdp.compute_penalties(alloc, self.config)
         reward = mdp.compute_reward(qos, penalties, self.task)

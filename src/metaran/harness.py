@@ -393,6 +393,12 @@ def relative_gain(r_meta: float, r_base: float) -> float:
     return (r_meta - r_base) / abs(r_base)
 
 
+def final_return(returns) -> float:
+    """A seed's final return: the mean of its last min(FINAL_SHOTS, shots)
+    shot returns, given in shot order."""
+    return float(np.mean(returns[-FINAL_SHOTS:]))
+
+
 def summarize(log: MetricsLog) -> str:
     """Plain-text report: final returns, gains, QoS spread, adaptation table."""
     methods = log.methods()
@@ -410,7 +416,7 @@ def summarize(log: MetricsLog) -> str:
         per_seed = []
         for seed in sorted({r["seed"] for r in log.select(method=method)}):
             rows = log.select(method=method, seed=seed)
-            per_seed.append(np.mean([r["return"] for r in rows[-FINAL_SHOTS:]]))
+            per_seed.append(final_return([r["return"] for r in rows]))
         mean = float(np.mean(per_seed))
         std = float(np.std(per_seed))
         finals[method] = mean

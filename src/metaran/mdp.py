@@ -36,7 +36,6 @@ class AllocationAction:
 
     rb_owner: np.ndarray  # (K,) int, owning UE index or -1
     rb_requested: np.ndarray  # (N,) pre-truncation requested counts
-    per_rb_power: np.ndarray  # (K,) mW, 0 on unassigned RBs
     ue_power: np.ndarray  # (N,) mW, the power each UE's RBs would carry
 
     @cached_property
@@ -44,6 +43,12 @@ class AllocationAction:
         """(N, K) bool mask, True where UE u owns RB k (derived once, on first
         use, so rates and penalties share it)."""
         return self.rb_owner == np.arange(len(self.rb_requested))[:, None]
+
+    @cached_property
+    def per_rb_power(self) -> np.ndarray:
+        """(K,) mW, the owner's power on each RB; an owner of -1 reads the
+        appended 0.0, so unassigned RBs carry none."""
+        return np.append(self.ue_power, 0.0)[self.rb_owner]
 
 
 def observation_dim(num_ues: int) -> int:
@@ -93,14 +98,8 @@ def decode_action(
 
     ends = np.minimum(requested.cumsum(), k)
     rb_owner = ends.searchsorted(np.arange(k), side="right")  # n past the last request
-    per_rb_power = np.concatenate((ue_power, [0.0]))[rb_owner]
     rb_owner[rb_owner == n] = -1
-    return AllocationAction(
-        rb_owner=rb_owner,
-        rb_requested=requested,
-        per_rb_power=per_rb_power,
-        ue_power=ue_power,
-    )
+    return AllocationAction(rb_owner=rb_owner, rb_requested=requested, ue_power=ue_power)
 
 
 def compute_penalties(alloc: AllocationAction, config: CellConfig):
@@ -162,6 +161,5 @@ def zero_allocation(config: CellConfig) -> AllocationAction:
     return AllocationAction(
         rb_owner=np.full(k, -1),
         rb_requested=np.zeros(n, dtype=int),
-        per_rb_power=np.zeros(k),
         ue_power=np.full(n, config.p_min),
     )

@@ -16,6 +16,7 @@ moments take the dtype of the parameters they follow.
 """
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,17 +269,24 @@ def save_checkpoint(path, header: dict, **arrays) -> None:
 def load_checkpoint(path):
     """Inverse of save_checkpoint: (header, arrays), AdamStates rebuilt.
 
-    Raises ConfigurationError unless the file carries CHECKPOINT_VERSION.
+    Raises ConfigurationError naming the file unless it is a readable npz
+    archive that carries CHECKPOINT_VERSION; a missing file raises
+    FileNotFoundError.
     """
-    with np.load(path, allow_pickle=False) as data:
-        header = json.loads(str(data["header"])) if "header" in data.files else {}
-        version = header.get("format_version")
-        if version != CHECKPOINT_VERSION:
-            raise ConfigurationError(
-                f"{path}: checkpoint format version {version!r} is not supported "
-                f"(expected {CHECKPOINT_VERSION})"
-            )
-        arrays = {k: data[k] for k in data.files if k != "header"}
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            header = json.loads(str(data["header"])) if "header" in data.files else {}
+            arrays = {k: data[k] for k in data.files if k != "header"}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:  # truncated, empty, not npz
+        raise ConfigurationError(
+            f"{path}: not a readable checkpoint ({type(exc).__name__})"
+        ) from exc
+    version = header.get("format_version")
+    if version != CHECKPOINT_VERSION:
+        raise ConfigurationError(
+            f"{path}: checkpoint format version {version!r} is not supported "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
     for name, scalars in header.pop("adam").items():
         m, v = arrays.pop(f"{name}_m"), arrays.pop(f"{name}_v")
         arrays[name] = AdamState(m, v, **scalars)

@@ -109,6 +109,12 @@ def test_rates_match_scalar_oracle_on_100_instances():
 # -- 3. constraint enforcement on 10^4 decodes (< 5 s) ------------------------
 
 
+def _assert_owner_vector(owner, cfg):
+    assert owner.shape == (cfg.num_rbs,)
+    assert owner.dtype.kind == "i"
+    assert ((owner >= -1) & (owner < cfg.num_ues)).all()
+
+
 def test_decoded_allocations_always_feasible():
     start = time.perf_counter()
     rng = np.random.default_rng(11)
@@ -116,11 +122,14 @@ def test_decoded_allocations_always_feasible():
         CellConfig(num_rbs=k, num_ues=n, cell_radius=100.0)
         for k, n in ((4, 1), (8, 3), (12, 5), (60, 30))
     ]
+    for cfg in configs:
+        _assert_owner_vector(mdp.zero_allocation(cfg).rb_owner, cfg)
     for i in range(10_000):
         cfg = configs[i % len(configs)]
         raw = rng.uniform(-1.5, 1.5, size=2 * cfg.num_ues)
         idle = rng.uniform(size=cfg.num_ues) < 0.3 if i % 3 == 0 else None
         a = decode_action(raw, cfg, idle_mask=idle)
+        _assert_owner_vector(a.rb_owner, cfg)
         e = a.rb_indicator
         assert e.sum() <= cfg.num_rbs
         assert (e.sum(axis=0) <= 1).all()

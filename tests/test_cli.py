@@ -95,7 +95,11 @@ def test_meta_train_then_eval(tmp_path, capsys):
     config_path, cfg = write_small_config(tmp_path, outer_iters=30)
     assert cli.main(["meta-train", "--config", str(config_path)]) == 0
     out_dir = tmp_path / "out"
+    capsys.readouterr()
     assert cli.main(["adapt", "--config", str(config_path)]) == 0
+    returns = [r["return"] for r in MetricsLog.read_csvs(out_dir).select(method="meta")]
+    assert len(returns) == 3
+    assert capsys.readouterr().out.strip() == f"seed 0: final return {np.mean(returns):.4f}"
     ckpt = out_dir / "adapted_agent_seed0.npz"
 
     model = meta.load_meta_model(out_dir / "meta_model_seed0.npz")
@@ -132,6 +136,15 @@ def test_a_checkpoint_from_another_config_names_the_file(tmp_path):
     for argv in _commands(config_path, ckpt):
         with pytest.raises(ConfigurationError, match=f"{re.escape(str(ckpt))}: actor_vec"):
             cli.main(argv)
+
+
+def test_eval_of_an_unreadable_checkpoint_names_the_file(tmp_path):
+    config_path, _ = write_small_config(tmp_path)
+    ckpt = tmp_path / "truncated.npz"
+    ckpt.write_bytes(b"PK\x03\x04")
+    with pytest.raises(ConfigurationError) as info:
+        cli.main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt)])
+    assert str(ckpt) in str(info.value)
 
 
 def test_an_old_agent_checkpoint_names_the_file(tmp_path):

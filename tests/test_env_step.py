@@ -9,6 +9,7 @@ agree to the byte, RNG state included.
 """
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from metaran import cell, harness, mdp
 from metaran.cell import DIRECTIONS, SPEED_MAX, SPEED_MIN, TRAFFIC_LEVELS, CellConfig
 from metaran.episode import TaskEnv
 from metaran.errors import ContractViolation
-from metaran.mdp import AllocationAction, TaskSpec
+from metaran.mdp import TaskSpec
 
 
 # -- the earlier implementation ----------------------------------------------
@@ -63,6 +64,15 @@ def ref_step_traffic(s, rng):
     return replace(s, traffic_levels=levels)
 
 
+class RefAllocation(NamedTuple):
+    """The allocation record as first built, with per_rb_power stored."""
+
+    rb_owner: np.ndarray
+    rb_requested: np.ndarray
+    per_rb_power: np.ndarray
+    ue_power: np.ndarray
+
+
 def first_fit_decode(raw, config, idle_mask=None):
     n, k = config.num_ues, config.num_rbs
     raw = np.clip(np.asarray(raw, dtype=float), -1.0, 1.0)
@@ -79,11 +89,26 @@ def first_fit_decode(raw, config, idle_mask=None):
             rb_owner[next_free : next_free + take] = u
             per_rb_power[next_free : next_free + take] = ue_power[u]
             next_free += take
-    return AllocationAction(rb_owner, requested, per_rb_power, ue_power)
+    return RefAllocation(rb_owner, requested, per_rb_power, ue_power)
+
+
+def ref_validate_alloc(alloc, config):
+    owner, p = alloc.rb_owner, alloc.per_rb_power
+    k, n = config.num_rbs, config.num_ues
+    if owner.shape != (k,) or p.shape != (k,) or alloc.rb_requested.shape != (n,):
+        raise ContractViolation("allocation arrays have the wrong shape")
+    if owner.dtype.kind != "i" or (owner < -1).any() or (owner >= n).any():
+        raise ContractViolation("rb_owner must hold UE indices in [-1, N)")
+    assigned = owner >= 0
+    eps = 1e-9
+    if (p[assigned] < config.p_min - eps).any() or (p[assigned] > config.p_max + eps).any():
+        raise ContractViolation("assigned RB power outside [p_min, p_max]")
+    if (np.abs(p[~assigned]) > eps).any():
+        raise ContractViolation("unassigned RB carries power")
 
 
 def ref_compute_rates(alloc, ch, s, config):
-    cell._validate_alloc(alloc, config)
+    ref_validate_alloc(alloc, config)
     eta = config.path_loss_exp
     d_own = np.maximum(np.linalg.norm(s.ue_positions, axis=1), cell.MIN_DISTANCE)
     signal = alloc.per_rb_power[None, :] * d_own[:, None] ** (-eta) * ch.gain
