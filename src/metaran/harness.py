@@ -197,8 +197,10 @@ def save_config(path, config: ExperimentConfig) -> None:
 def default_config(profile: str = "paper", out_dir: str = "results") -> ExperimentConfig:
     """Built-in profiles.
 
-    paper: evaluation-scale settings (expensive to train on a desktop), float32.
-    toy:   small cells and networks for quick, fully reproducible runs, float64.
+    paper: evaluation-scale settings (expensive to train on a desktop).
+    toy:   small cells and networks for quick, fully reproducible runs.
+
+    Both train in float32; Hyper's default, float64, is the oracle reference.
     """
     if profile == "paper":
         c_x = 10e6
@@ -212,8 +214,7 @@ def default_config(profile: str = "paper", out_dir: str = "results") -> Experime
             ),
             new_task=TaskBlock(num_rbs=80, demand_min=2e6, demand_max=c_x),
             schedule=ScheduleBlock(outer_iters=100, eval_episodes=10),
-            # Single precision halves the paper-size learner's time and memory;
-            # the toy profile stays float64, the reference the oracles use.
+            # Single precision halves the paper-size learner's time and memory.
             agent=Hyper(dtype="float32"),
             seeds=(0, 1, 2),
             out_dir=out_dir,
@@ -251,6 +252,7 @@ def default_config(profile: str = "paper", out_dir: str = "results") -> Experime
                 horizon=40,
                 hidden_sizes=(64, 64),
                 warmup_transitions=600,
+                dtype="float32",
             ),
             seeds=(0, 1, 2, 3, 4),
             out_dir=out_dir,

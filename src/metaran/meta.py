@@ -182,6 +182,7 @@ def meta_train(
             if grads is not None:
                 g_actor = accumulate(g_actor, grads[0])
                 g_critic = accumulate(g_critic, grads[1])
+                del grads  # free this task's query gradients before the next task runs
         apply_meta_update(meta, g_actor, g_critic)
     return meta
 

@@ -274,7 +274,10 @@ def load_checkpoint(path):
     FileNotFoundError.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):  # one bare array, as np.save writes
+            raise ValueError("an .npy array, not an .npz archive")
+        with data:
             header = json.loads(str(data["header"])) if "header" in data.files else {}
             arrays = {k: data[k] for k in data.files if k != "header"}
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:  # truncated, empty, not npz

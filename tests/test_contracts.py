@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import re
 from pathlib import Path
@@ -226,9 +227,10 @@ def test_agent_block_without_dtype_loads_as_float64(tmp_path):
     assert harness.load_config(path).agent.dtype == "float64"
 
 
-def test_only_the_paper_profile_runs_in_float32():
+def test_both_profiles_run_in_float32_against_a_float64_reference():
     assert harness.default_config("paper").agent.dtype == "float32"
-    assert harness.default_config("toy").agent.dtype == "float64"
+    assert harness.default_config("toy").agent.dtype == "float32"
+    assert ddpg.Hyper().dtype == "float64"
 
 
 # -- checkpoint versions -----------------------------------------------------
@@ -295,10 +297,18 @@ def test_meta_checkpoint_header_has_no_layer_sizes(tmp_path):
     assert set(header) == {"format_version"}
 
 
+def _npy_bytes(data):
+    # What np.save writes: one bare array, which np.load returns unwrapped.
+    buf = io.BytesIO()
+    np.save(buf, np.arange(3.0))
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize(
     "damage",
-    [lambda data: data[: len(data) // 2], lambda data: b"", lambda data: b"not npz\n" * 8],
-    ids=["truncated", "empty", "arbitrary-bytes"],
+    [lambda data: data[: len(data) // 2], lambda data: b"", lambda data: b"not npz\n" * 8,
+     _npy_bytes],
+    ids=["truncated", "empty", "arbitrary-bytes", "npy"],
 )
 def test_unreadable_checkpoint_names_the_file(tmp_path, damage):
     path = tmp_path / "meta.npz"
