@@ -33,10 +33,6 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    return 10.0 * np.log10(mw)
-
-
 @dataclass(frozen=True)
 class CellConfig:
     """Static per-cell parameters. Powers in mW, bandwidth in Hz."""
@@ -105,14 +101,6 @@ class ChannelRealization:
     gain: np.ndarray  # (N, K) unit-mean Rayleigh power gains
     neighbor_gain: np.ndarray  # (M, N, K) gains from neighbor RUs
     neighbor_power: np.ndarray  # (M, K) mW, 0 where the neighbor RB is idle
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Per-UE achievable rates for one allocation."""
-
-    per_ue_rate: np.ndarray  # (N,) bits/s
-    active: np.ndarray  # (N,) bool, traffic level != idle
 
 
 def reset(config: CellConfig, rng: np.random.Generator) -> EnvSnapshot:
@@ -189,8 +177,9 @@ def sample_channel(
 
 def compute_rates(
     alloc, ch: ChannelRealization, s: EnvSnapshot, config: CellConfig
-) -> RateReport:
-    """Shannon rate per UE with path loss, fading and neighbor interference.
+) -> np.ndarray:
+    """(N,) Shannon rate per UE in bits/s, with path loss, fading and neighbor
+    interference.
 
     c_u = sum_k B * e[u,k] * log2(1 + p[k] * d_u**-eta * g[u,k] / (I[u,k] + noise)),
     where e[u,k] = 1 exactly when UE u owns RB k. The allocation is feasible
@@ -211,5 +200,4 @@ def compute_rates(
         )
 
     sinr = signal / (interference + config.noise_rb_mw)
-    rates = config.rb_bandwidth * np.add.reduce(alloc.rb_indicator * np.log2(1.0 + sinr), axis=1)
-    return RateReport(per_ue_rate=rates, active=s.active_mask)
+    return config.rb_bandwidth * np.add.reduce(alloc.rb_indicator * np.log2(1.0 + sinr), axis=1)

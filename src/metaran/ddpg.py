@@ -178,8 +178,6 @@ class DdpgAgent:
     def select_action(self, state: np.ndarray, explore: bool) -> np.ndarray:
         """Actor output plus float64 Gaussian noise when exploring, clipped to
         [-1, 1], in the agent's dtype."""
-        if len(state) != self.obs_dim:
-            raise ContractViolation("state dimension does not match the actor")
         action, _ = nets.forward(self.actor, state)
         if explore and self.noise_std > 0:
             action += self.rng.normal(0.0, self.noise_std, size=self.act_dim)
@@ -248,10 +246,12 @@ def _check_finite(name: str, loss: float, grads: np.ndarray) -> None:
 def run_episode(agent: DdpgAgent, env, horizon: int, train: bool):
     """One episode; returns (discounted return, mean QoS stats dict).
 
-    With train=True the agent explores, every post-warm-up step also performs
-    one train_step on a support batch and the noise schedule advances at
-    episode end; with train=False it acts greedily.
+    With train=True the agent explores, and once the buffer holds
+    max(warmup_transitions, 2 * batch_size) transitions every step also
+    performs one train_step on a support batch; the noise schedule advances
+    at episode end. With train=False it acts greedily.
     """
+    start = max(agent.hyper.warmup_transitions, 2 * agent.hyper.batch_size)
     state = env.reset()
     total = 0.0
     discount = 1.0
@@ -261,15 +261,10 @@ def run_episode(agent: DdpgAgent, env, horizon: int, train: bool):
         next_state, reward, info = env.step(action)
         if train:
             agent.buffer.add(Transition(state, action, reward, next_state))
-            if len(agent.buffer) >= agent.hyper.warmup_transitions:
-                try:
-                    batch = sample_batch(
-                        agent.buffer, agent.hyper.batch_size, "support", agent.rng
-                    )
-                except BufferNotReady:
-                    pass
-                else:
-                    agent.train_step(batch)
+            if len(agent.buffer) >= start:
+                agent.train_step(
+                    sample_batch(agent.buffer, agent.hyper.batch_size, "support", agent.rng)
+                )
         total += discount * reward
         discount *= agent.hyper.gamma
         q_sums += (info["q_avg"], info["q_min"], info["q_max"])

@@ -36,8 +36,8 @@ class TaskEnv:
             self.snapshot = replace(self.snapshot, traffic_levels=levels)
         self.prev_alloc = mdp.zero_allocation(self.config)
         ch = cell.sample_channel(self.snapshot, self.config, self.rng)
-        report = cell.compute_rates(self.prev_alloc, ch, self.snapshot, self.config)
-        qos = mdp.qos_stats(report, self.task)
+        rates = cell.compute_rates(self.prev_alloc, ch, self.snapshot, self.config)
+        qos = mdp.qos_stats(rates, self.snapshot.active_mask, self.task)
         return mdp.encode_state(qos, self.prev_alloc, self.task)
 
     def step(self, raw_action: np.ndarray):
@@ -53,10 +53,10 @@ class TaskEnv:
             s = cell.step_mobility(self.snapshot, self.config, self.rng)
             s = cell.step_traffic(s, self.rng)
         ch = cell.sample_channel(s, self.config, self.rng)
-        idle = ~s.active_mask
-        alloc = mdp.decode_action(raw_action, self.config, idle_mask=idle)
-        report = cell.compute_rates(alloc, ch, s, self.config)
-        qos = mdp.qos_stats(report, self.task)
+        active = s.active_mask
+        alloc = mdp.decode_action(raw_action, self.config, idle_mask=~active)
+        rates = cell.compute_rates(alloc, ch, s, self.config)
+        qos = mdp.qos_stats(rates, active, self.task)
         penalties = mdp.compute_penalties(alloc, self.config)
         reward = mdp.compute_reward(qos, penalties, self.task)
         state = mdp.encode_state(qos, alloc, self.task)

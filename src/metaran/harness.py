@@ -341,8 +341,9 @@ def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
 
     A run directory holds one metrics CSV per (method, seed),
     <method>_seed<k>.csv, and for meta the checkpoint meta_model_seed<k>.npz;
-    the CLI's adapt command adds adapted_agent_seed<k>.npz. Interrupted runs
-    restart cleanly (no resume).
+    the CLI's adapt command adds adapted_agent_seed<k>.npz. A seed's CSVs are
+    written when the seed ends, so a failure keeps those of the seeds before
+    it. Interrupted runs restart cleanly (no resume).
     """
     if mode not in METHODS + ("all",):
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -373,7 +374,7 @@ def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
                 )
                 log.timings[f"{kind}/seed{seed}"] = time.perf_counter() - start
                 _record_trace(log, kind, new_task.task_id, seed, trace)
-    log.write_csvs(out)
+        log.write_csvs(out)
     return log
 
 

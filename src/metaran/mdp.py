@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cell import CellConfig, RateReport
+from .cell import CellConfig
 from .errors import ConfigurationError, ContractViolation
 
 
@@ -113,12 +113,13 @@ def compute_penalties(alloc: AllocationAction, config: CellConfig):
 QOS_KEYS = ("q_avg", "q_min", "q_max")  # the order of qos_stats' vector
 
 
-def qos_stats(report: RateReport, task: TaskSpec) -> np.ndarray:
-    """(q_avg, q_min, q_max) of the active UEs' rates in bits/s.
+def qos_stats(rates: np.ndarray, active: np.ndarray, task: TaskSpec) -> np.ndarray:
+    """(q_avg, q_min, q_max) in bits/s of the (N,) rates where the (N,) bool
+    mask active is set.
 
     With every UE idle the demand is trivially met, so all three read c_max.
     """
-    rates = report.per_ue_rate[report.active]
+    rates = rates[active]
     if rates.size == 0:
         return np.full(3, task.demand_max)
     # Bitwise rates.mean(), .min() and .max(), without their dispatch overhead.

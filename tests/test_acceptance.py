@@ -81,7 +81,7 @@ def test_rates_match_scalar_oracle_on_100_instances():
         snap = cell.reset(cfg, rng)
         ch = cell.sample_channel(snap, cfg, rng)
         alloc = decode_action(rng.uniform(-1, 1, size=2 * cfg.num_ues), cfg)
-        report = cell.compute_rates(alloc, ch, snap, cfg)
+        rates = cell.compute_rates(alloc, ch, snap, cfg)
 
         nb = cfg.neighbor_positions()
         eta = cfg.path_loss_exp
@@ -102,7 +102,7 @@ def test_rates_match_scalar_oracle_on_100_instances():
                     / (interf + cfg.noise_rb_mw)
                 )
                 total += cfg.rb_bandwidth * alloc.rb_indicator[u, k] * np.log2(1 + sinr)
-            assert report.per_ue_rate[u] == pytest.approx(total, rel=1e-9)
+            assert rates[u] == pytest.approx(total, rel=1e-9)
     assert time.perf_counter() - start < 5.0
 
 
@@ -145,11 +145,7 @@ def test_decoded_allocations_always_feasible():
 
 def _fake_qos(task, min_rate, active_any):
     n = task.cell_config.num_ues
-    report = cell.RateReport(
-        per_ue_rate=np.full(n, min_rate),
-        active=np.full(n, active_any, dtype=bool),
-    )
-    return mdp.qos_stats(report, task)
+    return mdp.qos_stats(np.full(n, min_rate), np.full(n, active_any, dtype=bool), task)
 
 
 def test_reward_contract():

@@ -62,22 +62,39 @@ def test_benchmark_workload_builds_and_warms_up(tmp_path, name):
     workloads.WORKLOADS[name](1, tmp_path).warm_up()
 
 
-def test_traced_episode_counts_match_the_benchmark_count_model():
+def _traced_toy_episode(train, **hyper_overrides):
+    """Calls of one traced toy-donor episode, and CountModel's expectation."""
     tracer, workloads = _load_perfbench("tracer"), _load_perfbench("workloads")
     cfg = harness.default_config("toy")
-    task, h = cfg.donor_task_specs()[0], cfg.hyper()
+    task = cfg.donor_task_specs()[0]
+    h = dataclasses.replace(cfg.hyper(), **hyper_overrides)
     agent = ddpg.DdpgAgent(*meta.task_dims(task), h, np.random.default_rng(0))
     env = TaskEnv(task, np.random.default_rng(1))
     with tracer.traced(tracer.Tracer()) as t:
-        ddpg.run_episode(agent, env, h.horizon, train=False)
+        ddpg.run_episode(agent, env, h.horizon, train=train)
     model = workloads.CountModel(h)
-    model.episode(0, train=False)
-    expected = model.expected()
+    model.episode(0, train=train)
+    return t, model.expected()
+
+
+def test_traced_episode_counts_match_the_benchmark_count_model():
+    t, expected = _traced_toy_episode(train=False)
     # mdp.compute_penalties is left out: CountModel expects 2 calls per step
     # and the step makes 1; the model is mended with the next benchmark change.
     for name in ("episode.TaskEnv.step", "episode.TaskEnv.reset", "cell.step_mobility",
                  "cell.step_traffic", "cell.sample_channel", "cell.compute_rates",
                  "mdp.decode_action", "mdp.compute_reward", "mdp.encode_state"):
+        assert t.calls(name) == expected[name], name
+
+
+def test_traced_training_episode_counts_match_the_benchmark_count_model():
+    # Updates start at 2 * batch_size = 16 of the 40 steps. ddpg.sample_batch
+    # is left out: CountModel still counts a call on every step from the
+    # warm-up on, where run_episode samples only once an update is made.
+    t, expected = _traced_toy_episode(train=True, batch_size=8, warmup_transitions=0)
+    assert expected["ddpg.DdpgAgent.train_step"] == 40 - 16 + 1
+    for name in ("episode.TaskEnv.step", "episode.TaskEnv.reset",
+                 "ddpg.DdpgAgent.select_action", "ddpg.DdpgAgent.train_step"):
         assert t.calls(name) == expected[name], name
 
 

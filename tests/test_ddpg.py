@@ -340,6 +340,16 @@ def test_warmup_gate_blocks_updates():
     assert np.array_equal(agent.actor.flat, before)
 
 
+@pytest.mark.parametrize("warmup, start", [(0, 8), (10, 10)])
+def test_updates_start_at_max_of_warmup_and_two_batches(warmup, start):
+    # batch_size 4: support and query batches need 8 transitions between them.
+    agent = make_agent(batch_size=4, warmup_transitions=warmup)
+    horizon = 20
+    run_episode(agent, ConstantRewardEnv(3), horizon=horizon, train=True)
+    assert agent.critic_opt.step_count == horizon - start + 1
+    assert agent.actor_opt.step_count == horizon - start + 1
+
+
 def test_run_episode_return_and_qos_bookkeeping():
     agent = make_agent()
     env = ConstantRewardEnv(3)

@@ -122,12 +122,11 @@ def ref_compute_rates(alloc, ch, s, config):
         )
     sinr = signal / (interference + config.noise_rb_mw)
     mask = alloc.rb_owner == np.arange(config.num_ues)[:, None]
-    rates = config.rb_bandwidth * np.sum(mask * np.log2(1.0 + sinr), axis=1)
-    return cell.RateReport(per_ue_rate=rates, active=s.active_mask)
+    return config.rb_bandwidth * np.sum(mask * np.log2(1.0 + sinr), axis=1)
 
 
-def ref_qos_stats(report, task):
-    rates = report.per_ue_rate[report.active]
+def ref_qos_stats(rates, active, task):
+    rates = rates[active]
     if rates.size == 0:
         return np.full(3, task.demand_max)
     return np.array([rates.mean(), rates.min(), rates.max()])
@@ -167,8 +166,9 @@ class ReferenceEnv:
                                     traffic_levels=np.full(self.config.num_ues, 2))
         self.prev_alloc = mdp.zero_allocation(self.config)
         ch = cell.sample_channel(self.snapshot, self.config, self.rng)
-        report = ref_compute_rates(self.prev_alloc, ch, self.snapshot, self.config)
-        return mdp.encode_state(ref_qos_stats(report, self.task), self.prev_alloc, self.task)
+        rates = ref_compute_rates(self.prev_alloc, ch, self.snapshot, self.config)
+        qos = ref_qos_stats(rates, self.snapshot.active_mask, self.task)
+        return mdp.encode_state(qos, self.prev_alloc, self.task)
 
     def step(self, raw):
         s = self.snapshot
@@ -177,8 +177,8 @@ class ReferenceEnv:
             s = ref_step_traffic(s, self.rng)
         ch = cell.sample_channel(s, self.config, self.rng)
         alloc = first_fit_decode(raw, self.config, idle_mask=~s.active_mask)
-        report = ref_compute_rates(alloc, ch, s, self.config)
-        qos = ref_qos_stats(report, self.task)
+        rates = ref_compute_rates(alloc, ch, s, self.config)
+        qos = ref_qos_stats(rates, s.active_mask, self.task)
         penalties = ref_penalties(alloc, self.config)
         reward = ref_reward(qos, penalties, self.task)
         state = mdp.encode_state(qos, alloc, self.task)
@@ -285,8 +285,7 @@ def test_compute_rates_equals_the_norm_based_rates():
         alloc = mdp.decode_action(rng.uniform(-1, 1, 2 * cfg.num_ues), cfg)
         got = cell.compute_rates(alloc, ch, snap, cfg)
         want = ref_compute_rates(alloc, ch, snap, cfg)
-        assert _bits(got.per_ue_rate) == _bits(want.per_ue_rate)
-        assert _bits(got.active) == _bits(want.active)
+        assert _bits(got) == _bits(want)
 
 
 def test_lean_stats_and_reward_equal_the_earlier_ones():
@@ -294,9 +293,9 @@ def test_lean_stats_and_reward_equal_the_earlier_ones():
     task = TaskSpec(demand_min=1e6, demand_max=5e6, cell_config=CellConfig(num_ues=4))
     for _ in range(2000):
         rates = rng.uniform(0, 1e7, 4) * rng.choice([1e-300, 1.0, 1e300])
-        report = cell.RateReport(per_ue_rate=rates, active=rng.uniform(size=4) < 0.7)
-        qos = mdp.qos_stats(report, task)
-        assert _bits(qos) == _bits(ref_qos_stats(report, task))
+        active = rng.uniform(size=4) < 0.7
+        qos = mdp.qos_stats(rates, active, task)
+        assert _bits(qos) == _bits(ref_qos_stats(rates, active, task))
         penalties = (float(rng.uniform(0, 1)), float(rng.uniform(0, 2)))
         assert _bits(np.float64(mdp.compute_reward(qos, penalties, task))) == _bits(
             np.float64(ref_reward(qos, penalties, task)))

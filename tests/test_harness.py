@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from metaran import meta
 from metaran.cell import dbm_to_mw
 from metaran.errors import ConfigurationError
 from metaran.ddpg import Hyper
@@ -266,6 +267,21 @@ def test_run_experiment_scratch_writes_csvs(tmp_path):
     assert len(log.records) == 1
     assert (tmp_path / "scratch_seed0.csv").exists()
     assert "scratch/seed0" in log.timings
+
+
+def test_run_experiment_keeps_the_csvs_of_seeds_before_a_failure(tmp_path, monkeypatch):
+    run_baseline = meta.run_baseline
+
+    def fail_on_seed_1(kind, new_task, donors, budget, hyper, seed, **kw):
+        if seed == 1:
+            raise RuntimeError("seed 1 fails")
+        return run_baseline(kind, new_task, donors, budget, hyper, seed, **kw)
+
+    monkeypatch.setattr(meta, "run_baseline", fail_on_seed_1)
+    with pytest.raises(RuntimeError, match="seed 1 fails"):
+        run_experiment(small_config(tmp_path, seeds=(0, 1)), mode="scratch")
+    assert (tmp_path / "scratch_seed0.csv").exists()
+    assert not (tmp_path / "scratch_seed1.csv").exists()
 
 
 def test_run_experiment_meta_writes_checkpoints(tmp_path):

@@ -145,8 +145,8 @@ def test_decode_owner_vector_properties(inputs):
     assert (np.diff(owner[:assigned]) >= 0).all()  # first fit, ascending UE order
     snap = cell.reset(cfg, np.random.default_rng(0))
     ch = cell.sample_channel(snap, cfg, np.random.default_rng(0))
-    report = cell.compute_rates(a, ch, snap, cfg)  # every decode is accepted
-    assert report.per_ue_rate.shape == (n,)
+    rates = cell.compute_rates(a, ch, snap, cfg)  # every decode is accepted
+    assert rates.shape == (n,)
 
 
 # -- penalties ---------------------------------------------------------------
@@ -180,11 +180,7 @@ def test_empty_allocation_has_zero_penalties():
 
 
 def _qos(task, rates, active):
-    report = cell.RateReport(
-        per_ue_rate=np.asarray(rates, dtype=float),
-        active=np.asarray(active, dtype=bool),
-    )
-    return qos_stats(report, task)
+    return qos_stats(np.asarray(rates, dtype=float), np.asarray(active, dtype=bool), task)
 
 
 def test_reward_at_demand_floor_is_minus_half():
