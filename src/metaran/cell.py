@@ -87,7 +87,6 @@ class EnvSnapshot:
     ue_speeds: np.ndarray  # (N,) m/s
     ue_directions: np.ndarray  # (N,) radians
     traffic_levels: np.ndarray  # (N,) ints indexing TRAFFIC_LEVELS
-    time_index: int = 0
 
     @property
     def active_mask(self) -> np.ndarray:
@@ -117,7 +116,6 @@ def reset(config: CellConfig, rng: np.random.Generator) -> EnvSnapshot:
         ue_speeds=speeds,
         ue_directions=directions,
         traffic_levels=traffic,
-        time_index=0,
     )
 
 
@@ -143,7 +141,7 @@ def step_mobility(s: EnvSnapshot, config: CellConfig, rng: np.random.Generator) 
         # The same draws as rng.choice(DIRECTIONS, size=...), without its overhead.
         directions[out] = DIRECTIONS[rng.integers(0, len(DIRECTIONS), size=out.size)]
         speeds[out] = rng.uniform(SPEED_MIN, SPEED_MAX, size=out.size)
-    return EnvSnapshot(pos, speeds, directions, s.traffic_levels, s.time_index + 1)
+    return EnvSnapshot(pos, speeds, directions, s.traffic_levels)
 
 
 def step_traffic(s: EnvSnapshot, rng: np.random.Generator) -> EnvSnapshot:
@@ -157,7 +155,7 @@ def step_traffic(s: EnvSnapshot, rng: np.random.Generator) -> EnvSnapshot:
     if switch.any():
         levels = levels.copy()
         levels[switch] = (levels[switch] + offsets[switch]) % len(TRAFFIC_LEVELS)
-    return EnvSnapshot(s.ue_positions, s.ue_speeds, s.ue_directions, levels, s.time_index)
+    return EnvSnapshot(s.ue_positions, s.ue_speeds, s.ue_directions, levels)
 
 
 def sample_channel(

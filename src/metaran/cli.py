@@ -64,6 +64,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("meta-train", help="meta-train and adapt on the new task")
     _add_common(p)
+    p.set_defaults(mode="meta")
 
     p = sub.add_parser("adapt", help="adapt a saved meta model to the new task")
     _add_common(p)
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("baseline", help="run a baseline method on the new task")
     _add_common(p)
-    p.add_argument("--kind", choices=("scratch", "tl", "mtl"), required=True)
+    p.add_argument("--kind", dest="mode", choices=("scratch", "tl", "mtl"), required=True)
 
     p = sub.add_parser("eval", help="evaluate a model checkpoint greedily on the new task")
     _add_common(p)
@@ -91,8 +92,8 @@ def main(argv=None) -> int:
     config = _resolve_config(args)
     out = Path(config.out_dir)
 
-    if args.command == "meta-train":
-        log = run_experiment(config, mode="meta")
+    if args.command in ("meta-train", "baseline"):
+        log = run_experiment(config, mode=args.mode)
         print(f"wrote {len(log.records)} records to {out}")
         return 0
 
@@ -114,11 +115,6 @@ def main(argv=None) -> int:
             print(f"seed {seed}: final return {final:.4f}")
         return 0
 
-    if args.command == "baseline":
-        log = run_experiment(config, mode=args.kind)
-        print(f"wrote {len(log.records)} records to {out}")
-        return 0
-
     if args.command == "eval":
         new_task = config.new_task_spec()
         hyper = config.hyper()
@@ -128,7 +124,7 @@ def main(argv=None) -> int:
                           derive_rng(seed, "cli-eval", "agent"))
         agent.load_vectors(model.actor_vec, model.critic_vec)
         env = TaskEnv(new_task, derive_rng(seed, "cli-eval", "env"))
-        ret = evaluate_policy(agent, env, args.episodes, hyper.horizon)["episode_return"]
+        ret = evaluate_policy(agent, env, args.episodes)["episode_return"]
         print(f"mean discounted return over {args.episodes} episodes: {ret:.6f}")
         return 0
 

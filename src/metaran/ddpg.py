@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .errors import BufferNotReady, ConfigurationError, ContractViolation, TrainingDivergence
+from .errors import ConfigurationError, ContractViolation, TrainingDivergence
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,14 @@ class Hyper:
         for name in ("batch_size", "horizon"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        for name in ("actor_lr", "noise_std", "noise_floor"):
+            if not getattr(self, name) >= 0:  # NaN too
+                raise ConfigurationError(f"{name} must be >= 0")
+        if not self.lr > 0:
+            raise ConfigurationError("lr must be > 0")
+        for name in ("tau", "noise_decay"):
+            if not (0.0 < getattr(self, name) <= 1.0):
+                raise ConfigurationError(f"{name} must be in (0, 1]")
         if any(size < 1 for size in self.hidden_sizes):
             raise ConfigurationError("hidden_sizes must all be >= 1")
         if self.buffer_capacity <= 0 or self.buffer_capacity % 2 != 0:
@@ -106,14 +114,15 @@ class Batch:
 def sample_batch(
     buffer: ReplayBuffer, batch_size: int, partition: str, rng: np.random.Generator
 ) -> Batch:
-    """Uniform without-replacement sample from one partition.
+    """Uniform without-replacement sample from one partition of a buffer
+    that holds at least 2 * batch_size transitions.
 
     Capacity is even, so slot parity equals insertion parity: support draws
     the even slots 0, 2, ... and query the odd slots 1, 3, ...
     """
     size = len(buffer)
     if size < 2 * batch_size:
-        raise BufferNotReady(f"buffer holds {size} < {2 * batch_size} transitions")
+        raise ContractViolation(f"buffer holds {size} < {2 * batch_size} transitions")
     if partition not in ("support", "query"):
         raise ContractViolation(f"unknown partition {partition!r}")
     offset = 0 if partition == "support" else 1
@@ -243,47 +252,47 @@ def _check_finite(name: str, loss: float, grads: np.ndarray) -> None:
         raise TrainingDivergence(f"non-finite {name} loss or gradient (loss={loss})")
 
 
-def run_episode(agent: DdpgAgent, env, horizon: int, train: bool):
-    """One episode; returns (discounted return, mean QoS stats dict).
+def run_episode(agent: DdpgAgent, env, train: bool):
+    """One episode of agent.hyper.horizon steps; returns (discounted return,
+    mean QoS stats dict).
 
     With train=True the agent explores, and once the buffer holds
     max(warmup_transitions, 2 * batch_size) transitions every step also
     performs one train_step on a support batch; the noise schedule advances
     at episode end. With train=False it acts greedily.
     """
-    start = max(agent.hyper.warmup_transitions, 2 * agent.hyper.batch_size)
+    h = agent.hyper
+    start = max(h.warmup_transitions, 2 * h.batch_size)
     state = env.reset()
     total = 0.0
     discount = 1.0
     q_sums = np.zeros(3)
-    for _ in range(horizon):
+    for _ in range(h.horizon):
         action = agent.select_action(state, explore=train)
         next_state, reward, info = env.step(action)
         if train:
             agent.buffer.add(Transition(state, action, reward, next_state))
             if len(agent.buffer) >= start:
-                agent.train_step(
-                    sample_batch(agent.buffer, agent.hyper.batch_size, "support", agent.rng)
-                )
+                agent.train_step(sample_batch(agent.buffer, h.batch_size, "support", agent.rng))
         total += discount * reward
-        discount *= agent.hyper.gamma
+        discount *= h.gamma
         q_sums += (info["q_avg"], info["q_min"], info["q_max"])
         state = next_state
     if train:
         agent.decay_noise()
-    if horizon > 0:
-        q_sums /= horizon
+    q_sums /= h.horizon
     return total, {"q_avg": q_sums[0], "q_min": q_sums[1], "q_max": q_sums[2]}
 
 
-def evaluate_policy(agent: DdpgAgent, env, episodes: int, horizon: int) -> dict:
-    """Greedy (noise-free) policy over `episodes` episodes: the mean
-    discounted return as "episode_return" plus the mean QoS stats."""
+def evaluate_policy(agent: DdpgAgent, env, episodes: int) -> dict:
+    """Greedy (noise-free) policy over `episodes` episodes of
+    agent.hyper.horizon steps: the mean discounted return as
+    "episode_return" plus the mean QoS stats."""
     if episodes < 1:
         raise ContractViolation("episodes must be >= 1")
     rets, qoses = [], []
     for _ in range(episodes):
-        ret, qos = run_episode(agent, env, horizon, train=False)
+        ret, qos = run_episode(agent, env, train=False)
         rets.append(ret)
         qoses.append(qos)
     mean_qos = {k: float(np.mean([q[k] for q in qoses])) for k in qoses[0]}

@@ -11,7 +11,3 @@ class ContractViolation(ValueError):
 
 class TrainingDivergence(RuntimeError):
     """Raised when a loss or gradient becomes non-finite during training."""
-
-
-class BufferNotReady(RuntimeError):
-    """Raised when a replay buffer holds too little experience to sample."""

@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import json
 import re
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -269,7 +268,6 @@ class MetricsLog:
     """Append-only per-episode records, one CSV per (method, seed)."""
 
     records: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
 
     def add(self, method, task_id, seed, episode, ret, q_avg, q_min, q_max):
         self.records.append({"method": method, "task_id": task_id, "seed": seed,
@@ -359,20 +357,16 @@ def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
 
     for seed in config.seeds:
         if "meta" in wanted:
-            start = time.perf_counter()
             model = meta_mod.meta_train(donors, schedule, hyper, seed)
-            log.timings[f"meta-train/seed{seed}"] = time.perf_counter() - start
             meta_mod.save_meta_model(out / f"meta_model_seed{seed}.npz", model)
             _, trace = meta_mod.meta_adapt_new(model, new_task, schedule, hyper, seed)
             _record_trace(log, "meta", new_task.task_id, seed, trace)
         for kind in ("scratch", "tl", "mtl"):
             if kind in wanted:
-                start = time.perf_counter()
                 _, trace = meta_mod.run_baseline(
                     kind, new_task, donors, budget, hyper, seed,
                     donor_budget=config.donor_budget,
                 )
-                log.timings[f"{kind}/seed{seed}"] = time.perf_counter() - start
                 _record_trace(log, kind, new_task.task_id, seed, trace)
         log.write_csvs(out)
     return log

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mdp, nets
-from .ddpg import (BufferNotReady, DdpgAgent, Hyper, ReplayBuffer, evaluate_policy,
-                   init_actor_critic, run_episode, sample_batch)
+from .ddpg import (DdpgAgent, Hyper, ReplayBuffer, evaluate_policy, init_actor_critic,
+                   run_episode, sample_batch)
 from .episode import TaskEnv
 from .errors import ConfigurationError, TrainingDivergence
 from .mdp import TaskSpec
@@ -105,11 +105,10 @@ class TaskState:
 
 def query_gradients(agent: DdpgAgent, rng: np.random.Generator):
     """Flat (actor, critic) loss gradients on a query batch at the adapted
-    parameters, or None while the buffer is still warming up."""
-    try:
-        batch = sample_batch(agent.buffer, agent.hyper.batch_size, "query", rng)
-    except BufferNotReady:
+    parameters, or None until the buffer holds 2 * batch_size transitions."""
+    if len(agent.buffer) < 2 * agent.hyper.batch_size:
         return None
+    batch = sample_batch(agent.buffer, agent.hyper.batch_size, "query", rng)
     _, c_grads = agent.critic_gradients(batch)
     _, a_grads = agent.actor_gradients(batch)
     return a_grads, c_grads
@@ -176,7 +175,7 @@ def meta_train(
             if i == 0 and on_outer_start is not None:
                 on_outer_start(it, meta, learner)
             for _ in range(schedule.eval_episodes):
-                run_episode(learner, task.env, hyper.horizon, train=True)
+                run_episode(learner, task.env, train=True)
             task.noise_std = learner.noise_std
             grads = query_gradients(learner, task.query_rng)
             if grads is not None:
@@ -211,8 +210,8 @@ def _shots(agent: DdpgAgent, envs: list, eval_env: TaskEnv) -> list:
     """Per env in turn, one training episode and then a greedy evaluation."""
     trace = []
     for shot, env in enumerate(envs, start=1):
-        run_episode(agent, env, agent.hyper.horizon, train=True)
-        evaluation = evaluate_policy(agent, eval_env, ADAPT_EVAL_EPISODES, agent.hyper.horizon)
+        run_episode(agent, env, train=True)
+        evaluation = evaluate_policy(agent, eval_env, ADAPT_EVAL_EPISODES)
         trace.append({"shot": shot, **evaluation})
     return trace
 
@@ -267,7 +266,7 @@ def run_baseline(
         init = random_init_model(donor, hyper, seed)
         donor_agent, env = _task_agent(init, donor, hyper, seed, "tl-donor")
         for _ in range(donor_budget):
-            run_episode(donor_agent, env, hyper.horizon, train=True)
+            run_episode(donor_agent, env, train=True)
         return inner_adapt(agent_model(donor_agent), new_task, budget, hyper, seed)
 
     if kind == "mtl":
@@ -302,6 +301,10 @@ def load_meta_model(path) -> MetaModel:
     # header; the layer sizes follow from the config, so they are not read.
     _, arrays = nets.load_checkpoint(path)
     try:
-        return MetaModel(**arrays)
+        model = MetaModel(**arrays)
     except TypeError as exc:  # other arrays, such as an agent's target networks
         raise ConfigurationError(f"{path}: not a model checkpoint ({exc})") from exc
+    for name in ("actor_vec", "critic_vec"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise ConfigurationError(f"{path}: {name} has non-finite entries")
+    return model

@@ -246,8 +246,8 @@ def test_ddpg_learns_on_stationary_single_ue_task():
         eval_env = TaskEnv(task, derive_rng(seed, "eval"), stationary=True)
         evals = []
         for _ in range(episodes):
-            run_episode(agent, env, hyper.horizon, train=True)
-            ret, _ = run_episode(agent, eval_env, hyper.horizon, train=False)
+            run_episode(agent, env, train=True)
+            ret, _ = run_episode(agent, eval_env, train=False)
             evals.append(ret)
         evals = np.array(evals)
         head = evals[: episodes // 10].mean()
@@ -346,7 +346,7 @@ def test_structural_properties_of_meta_loop():
     )
     by_hand.load_vectors(ref.actor_vec, ref.critic_vec)
     for _ in range(one.eval_episodes):
-        run_episode(by_hand, env, hyper.horizon, train=True)
+        run_episode(by_hand, env, train=True)
     qrng = derive_rng(2, "meta-train", "query", task.task_id)
     ga, gc = meta.query_gradients(by_hand, qrng)
     nets.adam_step(ref.actor_vec, ga, ref.actor_opt)

@@ -82,7 +82,6 @@ def test_reset_places_ues_in_disc_with_valid_attributes():
     assert ((s.ue_speeds >= cell.SPEED_MIN) & (s.ue_speeds <= cell.SPEED_MAX)).all()
     assert np.isin(s.ue_directions, cell.DIRECTIONS).all()
     assert ((s.traffic_levels >= 0) & (s.traffic_levels < 4)).all()
-    assert s.time_index == 0
 
 
 def test_reset_is_deterministic_per_seed():
@@ -116,7 +115,6 @@ def test_straight_line_motion():
     rng = np.random.default_rng(0)
     s2 = cell.step_mobility(s, c, rng)
     assert np.allclose(s2.ue_positions, [[10.0, 0.0]] * 3)
-    assert s2.time_index == 1
 
 
 def test_positions_stay_inside_disc_for_long_rollouts():

@@ -85,7 +85,7 @@ def _eval_line(config_path, ckpt, capsys):
 def _greedy_line(agent, cfg):
     """What eval prints for an agent with these parameters."""
     env = TaskEnv(cfg.new_task_spec(), derive_rng(0, "cli-eval", "env"))
-    ret = evaluate_policy(agent, env, 2, cfg.hyper().horizon)["episode_return"]
+    ret = evaluate_policy(agent, env, 2)["episode_return"]
     return f"mean discounted return over 2 episodes: {ret:.6f}"
 
 
@@ -145,6 +145,17 @@ def test_eval_of_an_unreadable_checkpoint_names_the_file(tmp_path):
     with pytest.raises(ConfigurationError) as info:
         cli.main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt)])
     assert str(ckpt) in str(info.value)
+
+
+def test_eval_of_a_checkpoint_with_a_nan_weight_names_the_file(tmp_path):
+    config_path, cfg = write_small_config(tmp_path)
+    model = meta.init_meta_model(*meta.task_dims(cfg.new_task_spec()), cfg.hyper(), seed=0)
+    model.actor_vec[0] = np.nan
+    ckpt = tmp_path / "nan.npz"
+    meta.save_meta_model(ckpt, model)
+    with pytest.raises(ConfigurationError,
+                       match=f"{re.escape(str(ckpt))}: actor_vec has non-finite entries"):
+        cli.main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt)])
 
 
 def test_an_old_agent_checkpoint_names_the_file(tmp_path):

@@ -71,7 +71,7 @@ def _traced_toy_episode(train, **hyper_overrides):
     agent = ddpg.DdpgAgent(*meta.task_dims(task), h, np.random.default_rng(0))
     env = TaskEnv(task, np.random.default_rng(1))
     with tracer.traced(tracer.Tracer()) as t:
-        ddpg.run_episode(agent, env, h.horizon, train=train)
+        ddpg.run_episode(agent, env, train=train)
     model = workloads.CountModel(h)
     model.episode(0, train=train)
     return t, model.expected()
@@ -95,6 +95,30 @@ def test_traced_training_episode_counts_match_the_benchmark_count_model():
     assert expected["ddpg.DdpgAgent.train_step"] == 40 - 16 + 1
     for name in ("episode.TaskEnv.step", "episode.TaskEnv.reset",
                  "ddpg.DdpgAgent.select_action", "ddpg.DdpgAgent.train_step"):
+        assert t.calls(name) == expected[name], name
+
+
+def test_traced_meta_train_counts_match_the_benchmark_count_model():
+    # 3 transitions per task per outer iteration: each buffer first holds
+    # 2 * batch_size = 8 in iteration 3, so the query side turns ready mid-run
+    # and two of the four iterations take a meta Adam step. ddpg.sample_batch
+    # is left out: CountModel counts a query call on every iteration, where
+    # query_gradients samples only once its buffer is ready.
+    tracer, workloads = _load_perfbench("tracer"), _load_perfbench("workloads")
+    cfg = harness.default_config("toy")
+    tasks = cfg.donor_task_specs()[:2]
+    h = dataclasses.replace(cfg.hyper(), batch_size=4, warmup_transitions=0, horizon=3)
+    schedule = meta.MetaSchedule(outer_iters=4, eval_episodes=1, num_tasks=2)
+    with tracer.traced(tracer.Tracer()) as t:
+        meta.meta_train(tasks, schedule, h, seed=0)
+    model = workloads.CountModel(h)
+    model.meta_train(len(tasks), schedule)
+    expected = model.expected()
+    assert expected["meta_adam_updates"] == 2
+    for name in ("episode.TaskEnv.step", "episode.TaskEnv.reset",
+                 "ddpg.DdpgAgent.select_action", "ddpg.DdpgAgent.train_step",
+                 "meta.outer_iter", "meta.query_gradients", "meta.apply_meta_update",
+                 "nets.adam_step"):
         assert t.calls(name) == expected[name], name
 
 
@@ -143,7 +167,11 @@ def test_config_naming_subcarrier_spacing_is_rejected(tmp_path):
      ("buffer_capacity", 0), ("buffer_capacity", -2), ("batch_size", 0),
      ("horizon", -1), ("hidden_sizes", [0]),
      ("buffer_capacity", 200),  # below 2 * batch_size (128): no batch is ever drawn
-     ("warmup_transitions", 20_002)],  # above buffer_capacity: the gate never opens
+     ("warmup_transitions", 20_002),  # above buffer_capacity: the gate never opens
+     ("lr", 0.0), ("lr", -1e-3),  # nothing trains, or gradient ascent
+     ("actor_lr", -1e-3),  # would silently fall back to lr
+     ("tau", 0.0), ("tau", 2.0), ("noise_decay", 0.0), ("noise_decay", 1.5),
+     ("noise_std", -0.1), ("noise_std", float("nan")), ("noise_floor", -0.1)],
 )
 def test_config_agent_block_is_checked_at_load(tmp_path, key, value):
     with pytest.raises(ConfigurationError, match=f"config.agent: {key}"):
@@ -333,6 +361,17 @@ def test_unreadable_checkpoint_names_the_file(tmp_path, damage):
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(ConfigurationError,
                        match=f"{re.escape(str(path))}: not a readable checkpoint"):
+        meta.load_meta_model(path)
+
+
+@pytest.mark.parametrize("name", ["actor_vec", "critic_vec"])
+def test_checkpoint_with_non_finite_parameters_names_the_file(tmp_path, name):
+    m = meta.init_meta_model(3, 2, ddpg.Hyper(hidden_sizes=(8,)), seed=0)
+    getattr(m, name)[1] = np.nan
+    path = tmp_path / "meta.npz"
+    meta.save_meta_model(path, m)
+    with pytest.raises(ConfigurationError,
+                       match=f"{re.escape(str(path))}: {name} has non-finite entries"):
         meta.load_meta_model(path)
 
 

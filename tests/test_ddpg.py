@@ -16,12 +16,7 @@ from metaran.ddpg import (
     run_episode,
     sample_batch,
 )
-from metaran.errors import (
-    BufferNotReady,
-    ConfigurationError,
-    ContractViolation,
-    TrainingDivergence,
-)
+from metaran.errors import ConfigurationError, ContractViolation, TrainingDivergence
 
 
 def tiny_hyper(**kw):
@@ -132,7 +127,7 @@ def test_sample_batch_draws_like_a_choice_over_the_partition(size, partition, pa
 def test_sample_batch_requires_twice_batch_size():
     agent = make_agent()
     fill_buffer(agent, 7)
-    with pytest.raises(BufferNotReady):
+    with pytest.raises(ContractViolation):
         sample_batch(agent.buffer, 4, "support", agent.rng)
     fill_buffer(agent, 1)
     batch = sample_batch(agent.buffer, 4, "support", agent.rng)
@@ -332,10 +327,10 @@ def test_load_vectors_reloads_in_place():
 
 
 def test_warmup_gate_blocks_updates():
-    agent = make_agent(warmup_transitions=64)
+    agent = make_agent(warmup_transitions=64, horizon=20)
     env = ConstantRewardEnv(3)
     before = agent.actor.flat.copy()
-    run_episode(agent, env, horizon=20, train=True)
+    run_episode(agent, env, train=True)
     assert len(agent.buffer) == 20
     assert np.array_equal(agent.actor.flat, before)
 
@@ -343,35 +338,35 @@ def test_warmup_gate_blocks_updates():
 @pytest.mark.parametrize("warmup, start", [(0, 8), (10, 10)])
 def test_updates_start_at_max_of_warmup_and_two_batches(warmup, start):
     # batch_size 4: support and query batches need 8 transitions between them.
-    agent = make_agent(batch_size=4, warmup_transitions=warmup)
     horizon = 20
-    run_episode(agent, ConstantRewardEnv(3), horizon=horizon, train=True)
+    agent = make_agent(batch_size=4, warmup_transitions=warmup, horizon=horizon)
+    run_episode(agent, ConstantRewardEnv(3), train=True)
     assert agent.critic_opt.step_count == horizon - start + 1
     assert agent.actor_opt.step_count == horizon - start + 1
 
 
 def test_run_episode_return_and_qos_bookkeeping():
-    agent = make_agent()
+    agent = make_agent(horizon=3)
     env = ConstantRewardEnv(3)
-    ret, qos = run_episode(agent, env, horizon=3, train=False)
+    ret, qos = run_episode(agent, env, train=False)
     assert np.isclose(ret, 1 + 0.9 + 0.81)
     assert qos == {"q_avg": 2.0, "q_min": 1.0, "q_max": 3.0}
 
 
 def test_evaluate_policy_constant_reward():
-    agent = make_agent(gamma=0.99)
+    agent = make_agent(gamma=0.99, horizon=3)
     env = ConstantRewardEnv(3)
-    got = evaluate_policy(agent, env, episodes=4, horizon=3)
+    got = evaluate_policy(agent, env, episodes=4)
     assert np.isclose(got["episode_return"], 2.9701)
     assert (got["q_avg"], got["q_min"], got["q_max"]) == (2.0, 1.0, 3.0)
     with pytest.raises(ContractViolation):
-        evaluate_policy(agent, env, episodes=0, horizon=3)
+        evaluate_policy(agent, env, episodes=0)
 
 
 def test_training_episode_updates_once_buffer_is_ready():
-    agent = make_agent(batch_size=4)
+    agent = make_agent(batch_size=4, horizon=20)
     env = ConstantRewardEnv(3)
     before = agent.critic.flat.copy()
-    run_episode(agent, env, horizon=20, train=True)
+    run_episode(agent, env, train=True)
     assert not np.array_equal(agent.critic.flat, before)
     assert agent.noise_std < agent.hyper.noise_std  # schedule advanced

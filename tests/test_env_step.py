@@ -33,7 +33,7 @@ def ref_reset(config, rng):
     speeds = rng.uniform(SPEED_MIN, SPEED_MAX, size=n)
     directions = rng.choice(DIRECTIONS, size=n)
     traffic = rng.integers(0, len(TRAFFIC_LEVELS), size=n)
-    return cell.EnvSnapshot(positions, speeds, directions, traffic, 0)
+    return cell.EnvSnapshot(positions, speeds, directions, traffic)
 
 
 def ref_step_mobility(s, config, rng, crossings):
@@ -51,8 +51,7 @@ def ref_step_mobility(s, config, rng, crossings):
         pos[out] *= scale[:, None]
         directions[out] = rng.choice(DIRECTIONS, size=int(out.sum()))
         speeds[out] = rng.uniform(SPEED_MIN, SPEED_MAX, size=int(out.sum()))
-    return replace(s, ue_positions=pos, ue_speeds=speeds, ue_directions=directions,
-                   time_index=s.time_index + 1)
+    return replace(s, ue_positions=pos, ue_speeds=speeds, ue_directions=directions)
 
 
 def ref_step_traffic(s, rng):
@@ -198,7 +197,6 @@ def _bits(a):
 def _assert_same_state(env, ref):
     for name in ("ue_positions", "ue_speeds", "ue_directions", "traffic_levels"):
         assert _bits(getattr(env.snapshot, name)) == _bits(getattr(ref.snapshot, name)), name
-    assert env.snapshot.time_index == ref.snapshot.time_index
     for name in ("rb_owner", "rb_requested", "per_rb_power", "ue_power"):
         assert _bits(getattr(env.prev_alloc, name)) == _bits(getattr(ref.prev_alloc, name)), name
 
@@ -346,7 +344,6 @@ def test_rejected_action_leaves_the_env_untouched():
             env.step(bad)
         assert env.rng.bit_generator.state == rng_state
         assert env.snapshot is snapshot and env.prev_alloc is prev_alloc
-        assert env.snapshot.time_index == t
         good = np.random.default_rng(t).uniform(-1, 1, 2 * n)
         (obs, reward, info), (t_obs, t_reward, t_info) = env.step(good), twin.step(good)
         assert _bits(obs) == _bits(t_obs)

@@ -215,7 +215,7 @@ def reference_meta_train(tasks, schedule, hyper, seed):
         actor_grads, critic_grads = [], []
         for env, agent, qrng in zip(envs, agents, qrngs):
             for _ in range(schedule.eval_episodes):
-                run_episode(agent, env, hyper.horizon, train=True)
+                run_episode(agent, env, train=True)
             grads = query_gradients(agent, qrng)
             if grads is not None:
                 actor_grads.append(grads[0])
