@@ -50,8 +50,13 @@ class CellConfig:
 
     def __post_init__(self):
         for name in ("num_rbs", "num_ues", "rb_bandwidth", "path_loss_exp", "cell_radius"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN too
                 raise ConfigurationError(f"{name} must be positive")
+        with np.errstate(all="ignore"):  # a non-finite power is rejected here, not warned about
+            if not 0 < self.noise_rb_mw < np.inf:
+                raise ConfigurationError(
+                    f"noise_psd {self.noise_psd} dBm/Hz gives a per-RB noise power of "
+                    f"{self.noise_rb_mw} mW; it must be finite and positive")
         if not (0 < self.p_min <= self.p_max):
             raise ConfigurationError("need 0 < p_min <= p_max")
         if not (0.0 <= self.neighbor_occupancy <= 1.0):

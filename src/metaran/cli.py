@@ -45,6 +45,16 @@ def _load_model(path, new_task, hyper) -> meta_mod.MetaModel:
     return model
 
 
+def _positive_int(text) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
 def _add_common(parser):
     parser.add_argument("--config", metavar="PATH", help="JSON experiment config")
     parser.add_argument(
@@ -77,7 +87,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("eval", help="evaluate a model checkpoint greedily on the new task")
     _add_common(p)
     p.add_argument("--checkpoint", metavar="PATH", required=True, help="model .npz")
-    p.add_argument("--episodes", type=int, default=5)
+    p.add_argument("--episodes", type=_positive_int, default=5)
 
     p = sub.add_parser("summarize", help="summarize metric CSVs in a directory")
     p.add_argument("--out", metavar="DIR", required=True)

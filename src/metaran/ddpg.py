@@ -33,7 +33,7 @@ class Hyper:
     batch_size: int = 128
     buffer_capacity: int = 100_000
     horizon: int = 200
-    hidden_sizes: tuple = (300, 400, 400)
+    hidden_sizes: tuple[int, ...] = (300, 400, 400)
     # Updates start once the buffer holds max(warmup_transitions,
     # 2 * batch_size) transitions; 0 means as soon as it can serve disjoint
     # support/query batches.

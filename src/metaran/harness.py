@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import re
+import sys
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +45,13 @@ class CellBlock:
     num_neighbors: int = 2
     neighbor_occupancy: float = 0.5
 
+    def __post_init__(self):
+        for name in ("p_min_dbm", "p_max_dbm"):
+            try:
+                dbm_to_mw(getattr(self, name))
+            except OverflowError:
+                raise ConfigurationError(f"{name} overflows as a power in mW") from None
+
 
 @dataclass(frozen=True)
 class TaskBlock:
@@ -63,11 +72,11 @@ class ScheduleBlock:
 class ExperimentConfig:
     profile: str
     cell: CellBlock
-    tasks: tuple  # donor TaskBlocks
+    tasks: tuple[TaskBlock, ...]  # donors
     new_task: TaskBlock
     schedule: ScheduleBlock
     agent: Hyper
-    seeds: tuple
+    seeds: tuple[int, ...]
     out_dir: str
     donor_budget: int = 0
     schema_version: int = SCHEMA_VERSION
@@ -83,6 +92,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"seeds: each seed may appear once, got {list(self.seeds)}")
         if not self.tasks:
             raise ConfigurationError("tasks: at least one donor task is required")
+        if self.donor_budget < 0:
+            raise ConfigurationError(f"donor_budget must be >= 0, got {self.donor_budget}")
         # Build every runtime object here, so that the checks of CellConfig,
         # TaskSpec and MetaSchedule reject a bad block at load. The cell block
         # is checked on its own first (any valid num_rbs will do), so that a
@@ -134,47 +145,44 @@ class ExperimentConfig:
 
 @contextmanager
 def _block(name):
-    """Raise a ConfigurationError (or a TypeError from a bad field) with the
-    name of the config block in front."""
+    """Raise a ConfigurationError (or the TypeError of a missing field) with
+    the name of the config block in front."""
     try:
         yield
     except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"{name}: {exc}") from exc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _want(kind) -> str:
+    """What a JSON value must be to be read as the annotated type kind."""
+    if typing.get_origin(kind) is tuple:
+        return f"a list, each item {_want(typing.get_args(kind)[0])}"
+    return {int: "an integer", float: "a finite number", str: "a string"}.get(kind, "an object")
 
 
-def _from_dict(cls, data, path):
-    """Build a dataclass from a dict, rejecting unknown keys and values whose
-    JSON type does not fit the field (a bool is not a number)."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: expected an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        sub, kind = f"{path}.{name}", fields[name].type
-        if dataclasses.is_dataclass(kind):
-            value = _from_dict(kind, value, sub)
-        elif name == "tasks":
-            value = tuple(
-                _from_dict(TaskBlock, v, f"{sub}[{i}]") for i, v in enumerate(value)
-            )
-        elif name in ("seeds", "hidden_sizes"):
-            if not (isinstance(value, list) and all(map(_is_int, value))):
-                raise ConfigurationError(f"{path}: {name} must be a list of integers")
-            value = tuple(value)
-        elif kind in (int, float) and not (
-                _is_int(value) or kind is float and isinstance(value, float)):
-            want = "an integer" if kind is int else "a number"
-            raise ConfigurationError(f"{path}: {name} must be {want}, got {value!r}")
-        kwargs[name] = value
-    with _block(path):
-        return cls(**kwargs)
+def _read(kind, value, path, misfit):
+    """The JSON value at path read as the annotated type kind: a dataclass from
+    an object with no unknown keys, tuple[X, ...] from a list of X. A value
+    that does not fit raises ConfigurationError(f"{misfit}, got {value!r}")."""
+    if dataclasses.is_dataclass(kind) and isinstance(value, dict):
+        fields = {f.name: f.type for f in dataclasses.fields(kind)}
+        if unknown := set(value) - set(fields):
+            raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
+        kwargs = {name: _read(fields[name], item, f"{path}.{name}",
+                              f"{path}: {name} must be {_want(fields[name])}")
+                  for name, item in value.items()}
+        with _block(path):
+            return kind(**kwargs)
+    if typing.get_origin(kind) is tuple and isinstance(value, list):
+        return tuple(_read(typing.get_args(kind)[0], v, f"{path}[{i}]", misfit)
+                     for i, v in enumerate(value))
+    # type(), not isinstance(): a bool is not a number. A float is read from a
+    # number that fits a finite float, which NaN, the infinities and 10**400 do not.
+    if kind in (int, str) and type(value) is kind:
+        return value
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigurationError(f"{misfit}, got {value!r}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -182,9 +190,9 @@ def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax or UTF-8, or an int of over 4300 digits
             raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-    return _from_dict(ExperimentConfig, data, "config")
+    return _read(ExperimentConfig, data, "config", f"{path}: config must be an object")
 
 
 def save_config(path, config: ExperimentConfig) -> None:
@@ -302,8 +310,10 @@ class MetricsLog:
     @classmethod
     def read_csvs(cls, out_dir) -> "MetricsLog":
         """The <method>_seed<k>.csv files of out_dir, one per method in METHODS
-        and seed; a missing column or a cell that is not a number raises
-        ConfigurationError naming the file."""
+        and seed; a missing directory, a missing column or a cell that is not
+        a number raises ConfigurationError naming the directory or file."""
+        if not Path(out_dir).is_dir():
+            raise ConfigurationError(f"{out_dir}: no such directory")
         log = cls()
         for path in sorted(Path(out_dir).glob("*_seed*.csv")):
             match = METHOD_CSV.fullmatch(path.name)

@@ -38,7 +38,7 @@ class MetaSchedule:
     def __post_init__(self):
         for name, least in (("outer_iters", 1), ("eval_episodes", 1), ("num_tasks", 1),
                             ("meta_actor_lr", 0), ("meta_critic_lr", 0)):
-            if getattr(self, name) < least:
+            if not getattr(self, name) >= least:  # NaN too
                 raise ConfigurationError(f"{name} must be >= {least}")
 
     @property

@@ -57,6 +57,12 @@ def test_noise_power_per_rb_matches_hand_formula():
         dict(rb_bandwidth=0.0),
         dict(neighbor_occupancy=1.5),
         dict(num_neighbors=-1),
+        dict(rb_bandwidth=float("nan")),
+        dict(path_loss_exp=float("nan")),
+        dict(cell_radius=float("nan")),
+        dict(noise_psd=float("nan")),
+        dict(noise_psd=4000.0),  # the per-RB noise power overflows to inf
+        dict(noise_psd=-4000.0),  # and here underflows to 0
     ],
 )
 def test_invalid_configs_rejected(kw):

@@ -179,6 +179,23 @@ def test_an_old_agent_checkpoint_names_the_file(tmp_path):
             cli.main(argv)
 
 
+@pytest.mark.parametrize("episodes", ["0", "-2", "two"])
+def test_eval_rejects_a_count_of_episodes_below_one_before_any_work(tmp_path, capsys, episodes):
+    # The checkpoint does not exist: the arguments are rejected before it is read.
+    config_path, _ = write_small_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["eval", "--config", str(config_path), "--checkpoint",
+                  str(tmp_path / "missing.npz"), "--episodes", episodes])
+    assert info.value.code == 2
+    assert "--episodes" in capsys.readouterr().err
+
+
+def test_summarize_of_a_missing_directory_names_it(tmp_path):
+    missing = tmp_path / "no_such_run"
+    with pytest.raises(ConfigurationError, match=f"{re.escape(str(missing))}: no such directory"):
+        cli.main(["summarize", "--out", str(missing)])
+
+
 def test_adapt_rejects_a_schedule_without_an_adaptation_episode(tmp_path):
     config_path, _ = write_small_config(tmp_path)
     data = json.loads(config_path.read_text())

@@ -2,6 +2,7 @@
 allocation form its serve gate reads, the config file format, and the single
 versioned checkpoint format."""
 
+import copy
 import dataclasses
 import importlib
 import importlib.util
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metaran import ddpg, harness, mdp, meta, nets
 from metaran.cell import CellConfig
@@ -189,6 +191,11 @@ def test_config_agent_block_is_checked_at_load(tmp_path, key, value):
         ("cell", "p_min_dbm", 9.0, "p_min"),  # above p_max_dbm
         ("schedule", "outer_iters", 0, "outer_iters"),
         ("schedule", "meta_actor_lr", -1.0, "meta_actor_lr"),
+        # The conversions to mW overflow: a power to a float error, the
+        # per-RB noise power to inf.
+        ("cell", "p_min_dbm", 4000.0, "p_min_dbm"),
+        ("cell", "p_max_dbm", 4000.0, "p_max_dbm"),
+        ("cell", "noise_psd_dbm_hz", 4000.0, "noise_psd"),
     ],
 )
 def test_config_blocks_are_checked_at_load(tmp_path, block, key, value, field):
@@ -206,6 +213,18 @@ def test_config_blocks_are_checked_at_load(tmp_path, block, key, value, field):
         ("cell", "num_ues", 2.5),
         ("new_task", "num_rbs", 4.5),
         ("agent", "batch_size", 8.0),
+        (None, "tasks", 5),
+        (None, "out_dir", 5),
+        (None, "profile", None),
+        # json.load reads NaN, Infinity and 1e400 as non-finite floats, and
+        # the int 10**400 fits no float.
+        ("cell", "noise_psd_dbm_hz", float("nan")),
+        ("cell", "cell_radius_m", float("inf")),
+        ("new_task", "demand_max", float("-inf")),
+        ("agent", "lr", float("nan")),
+        ("schedule", "meta_actor_lr", float("inf")),
+        pytest.param("cell", "rb_bandwidth", 10**400, id="cell-rb_bandwidth-10**400"),
+        (None, "donor_budget", -5),  # an int, but tl would skip its pre-training
     ],
 )
 def test_config_values_of_the_wrong_type_are_rejected_at_load(tmp_path, block, key, value):
@@ -213,6 +232,15 @@ def test_config_values_of_the_wrong_type_are_rejected_at_load(tmp_path, block, k
         harness.load_config(_edited_config(tmp_path, block, key, value))
     where = f"config.{block}" if block else "config"
     assert f"{where}: {key} must be" in str(info.value)
+
+
+def test_config_number_written_as_1e400_is_rejected_at_load(tmp_path):
+    # Valid JSON that json.load reads as inf.
+    path = _edited_config(tmp_path, "cell", "cell_radius_m", 1.0)
+    path.write_text(path.read_text().replace('"cell_radius_m": 1.0', '"cell_radius_m": 1e400'))
+    with pytest.raises(ConfigurationError,
+                       match="config.cell: cell_radius_m must be a finite number, got inf"):
+        harness.load_config(path)
 
 
 def test_config_without_an_adaptation_episode_is_rejected_at_load(tmp_path):
@@ -238,6 +266,42 @@ def test_task_blocks_are_checked_at_load(tmp_path, block):
     name = "tasks[1]" if block == "tasks" else block
     with pytest.raises(ConfigurationError, match=rf"{re.escape(name)}: num_rbs"):
         harness.load_config(path)
+
+
+def _keys_of(data, block):
+    """The object of a config file that holds block's keys: None is the top
+    level, "tasks[0]" the first donor task."""
+    return data if block is None else data["tasks"][0] if block == "tasks[0]" else data[block]
+
+
+TOY_CONFIG = dataclasses.asdict(harness.default_config("toy"))
+CONFIG_VALUE_KEYS = [(block, key)
+                     for block in (None, "cell", "schedule", "agent", "new_task", "tasks[0]")
+                     for key in _keys_of(TOY_CONFIG, block)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(place=st.sampled_from(CONFIG_VALUE_KEYS), value=JSON_VALUES)
+@example(place=(None, "tasks"), value=5)  # once a raw TypeError
+@example(place=("cell", "p_min_dbm"), value=4000)  # once a raw OverflowError
+def test_any_one_config_value_loads_or_raises_configuration_error(tmp_path_factory, place,
+                                                                   value):
+    data = copy.deepcopy(TOY_CONFIG)
+    block, key = place
+    _keys_of(data, block)[key] = value
+    path = tmp_path_factory.getbasetemp() / "one_value_replaced.json"
+    path.write_text(json.dumps(data))
+    try:
+        harness.load_config(path)
+    except ConfigurationError:
+        pass
 
 
 CONFIG_FILE_KEYS = {

@@ -113,6 +113,17 @@ def test_config_rejects_invalid_json(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "text", [b"\xff{}", b'{"seeds": [' + b"9" * 5000 + b"]}"],
+    ids=["not-utf8", "int-of-5000-digits"],
+)
+def test_config_rejects_json_text_that_python_cannot_read(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    with pytest.raises(ConfigurationError, match="bad.json: invalid JSON"):
+        load_config(path)
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError, match="seeds"):
         small_config("out", seeds=())

@@ -59,6 +59,9 @@ def test_schedule_validation_and_budget():
         MetaSchedule(outer_iters=10, eval_episodes=0)
     with pytest.raises(ConfigurationError):
         MetaSchedule(outer_iters=10, meta_actor_lr=-1.0)
+    for name in ("meta_actor_lr", "meta_critic_lr"):
+        with pytest.raises(ConfigurationError, match=name):
+            MetaSchedule(outer_iters=10, **{name: float("nan")})
 
 
 def test_adapt_budget_rounds_every_half_up():
