@@ -187,7 +187,8 @@ class DdpgAgent:
     def select_action(self, state: np.ndarray, explore: bool) -> np.ndarray:
         """Actor output plus float64 Gaussian noise when exploring, clipped to
         [-1, 1], in the agent's dtype."""
-        action, _ = nets.forward(self.actor, state)
+        out, _ = nets.forward(self.actor, state[None, :])
+        action = out[0]
         if explore and self.noise_std > 0:
             action += self.rng.normal(0.0, self.noise_std, size=self.act_dim)
         return np.clip(action, -1.0, 1.0, out=action)
@@ -269,14 +270,14 @@ def run_episode(agent: DdpgAgent, env, train: bool):
     q_sums = np.zeros(3)
     for _ in range(h.horizon):
         action = agent.select_action(state, explore=train)
-        next_state, reward, info = env.step(action)
+        next_state, reward, qos = env.step(action)
         if train:
             agent.buffer.add(Transition(state, action, reward, next_state))
             if len(agent.buffer) >= start:
                 agent.train_step(sample_batch(agent.buffer, h.batch_size, "support", agent.rng))
         total += discount * reward
         discount *= h.gamma
-        q_sums += (info["q_avg"], info["q_min"], info["q_max"])
+        q_sums += qos
         state = next_state
     if train:
         agent.decay_noise()

@@ -41,7 +41,8 @@ class TaskEnv:
         return mdp.encode_state(qos, self.prev_alloc, self.task)
 
     def step(self, raw_action: np.ndarray):
-        """Apply one raw actor output; returns (obs, reward, info).
+        """Apply one raw actor output; returns (obs, reward, qos), qos being
+        the step's (q_avg, q_min, q_max) vector from mdp.qos_stats.
 
         A bad action raises before any draw, so it leaves the env as it was."""
         if self.snapshot is None:
@@ -63,7 +64,4 @@ class TaskEnv:
 
         self.snapshot = s
         self.prev_alloc = alloc
-
-        p_c, k_r = penalties
-        info = {**mdp.qos_info(qos), "power_penalty": p_c, "rb_penalty": k_r}
-        return state, reward, info
+        return state, reward, qos

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import os
 import re
 import sys
 import typing
@@ -16,7 +17,7 @@ from . import meta as meta_mod
 from .cell import CellConfig, dbm_to_mw
 from .ddpg import Hyper
 from .errors import ConfigurationError
-from .mdp import TaskSpec
+from .mdp import TaskSpec, action_dim, observation_dim
 from .meta import MetaSchedule
 
 SCHEMA_VERSION = 1
@@ -107,6 +108,34 @@ class ExperimentConfig:
                 f"schedule: outer_iters {self.schedule.outer_iters} leaves no adaptation "
                 "episode (the budget is 10% of outer_iters, halves rounded up)"
             )
+        self._check_sizes()
+
+    def _check_sizes(self):
+        """Reject counts whose arrays would not fit in physical memory, so that
+        a run does not load and then fail building them. Skipped where
+        os.sysconf cannot tell the memory size."""
+        try:
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError):  # no os.sysconf, or not these names
+            return
+        h, n = self.agent, self.cell.num_ues
+        obs, act = observation_dim(n), action_dim(n)
+        item = np.dtype(h.dtype).itemsize
+        critic = (obs + act, *h.hidden_sizes, 1)
+        num_rbs = max(t.num_rbs for t in (*self.tasks, self.new_task))
+        for fields, what, size in (
+            ("agent: buffer_capacity and cell: num_ues", "one task's replay buffer",
+             h.buffer_capacity * (2 * obs + act + 1) * item),
+            ("cell: num_ues and agent: hidden_sizes", "one critic's parameters",
+             sum(a * b + b for a, b in zip(critic[:-1], critic[1:])) * item),
+            ("cell: num_neighbors, num_ues and the tasks' largest num_rbs", "one channel draw",
+             (1 + self.cell.num_neighbors) * n * num_rbs * 8),
+        ):
+            if size > memory:
+                raise ConfigurationError(
+                    f"{fields} are too large: {what} would need {size:,} bytes, more "
+                    f"than the {memory:,} bytes of physical memory"
+                )
 
     # -- derived objects ---------------------------------------------------
 

@@ -110,9 +110,6 @@ def compute_penalties(alloc: AllocationAction, config: CellConfig):
     return p_c, k_r
 
 
-QOS_KEYS = ("q_avg", "q_min", "q_max")  # the order of qos_stats' vector
-
-
 def qos_stats(rates: np.ndarray, active: np.ndarray, task: TaskSpec) -> np.ndarray:
     """(q_avg, q_min, q_max) in bits/s of the (N,) rates where the (N,) bool
     mask active is set.
@@ -126,11 +123,6 @@ def qos_stats(rates: np.ndarray, active: np.ndarray, task: TaskSpec) -> np.ndarr
     return np.array([
         np.add.reduce(rates) / rates.size, np.minimum.reduce(rates), np.maximum.reduce(rates)
     ])
-
-
-def qos_info(qos: np.ndarray) -> dict:
-    """qos_stats' vector as named floats, for a step's info dict."""
-    return dict(zip(QOS_KEYS, map(float, qos)))
 
 
 def compute_reward(qos: np.ndarray, penalties: tuple, task: TaskSpec) -> float:

@@ -3,11 +3,11 @@
 Networks are tanh MLPs with either a tanh head (actor) or identity head
 (critic). All parameters of a network live in one contiguous vector, `flat`,
 laid out layer by layer as [W1 (row-major), b1, W2, b2, ...].
-`weights[i]`, `biases[i]` and `parameters()` are views into `flat`, so
-writing through any of them changes the network and vice versa. Gradients,
-Adam moments and checkpoints use the same flat layout, so Adam and soft
-updates are single passes over one array, made block by block through a
-small scratch buffer so they allocate nothing the size of the network.
+`weights[i]` and `biases[i]` are views into `flat`, so writing through
+either changes the network and vice versa. Gradients, Adam moments and
+checkpoints use the same flat layout, so Adam and soft updates are single
+passes over one array, made block by block through a small scratch buffer
+so they allocate nothing the size of the network.
 
 A network's dtype is the dtype of `flat`: float64 (the default, and the
 reference every oracle test runs in) or float32. forward, backward and
@@ -16,6 +16,8 @@ moments take the dtype of the parameters they follow.
 """
 
 import json
+import os
+import uuid
 import zipfile
 from dataclasses import dataclass, field
 
@@ -56,10 +58,6 @@ class DenseNetwork:
     def __post_init__(self):
         self.weights, self.biases = _layer_views(self.layer_sizes, self.flat)
 
-    def parameters(self) -> list:
-        """Canonical list [W1, b1, W2, b2, ...] (views into flat)."""
-        return [p for wb in zip(self.weights, self.biases) for p in wb]
-
     def copy(self) -> "DenseNetwork":
         return DenseNetwork(self.layer_sizes, self.flat.copy(), self.output_activation)
 
@@ -90,17 +88,15 @@ def init_network(
 
 
 def forward(net: DenseNetwork, x: np.ndarray):
-    """Returns (output, tape). Accepts a single vector or a (B, d) batch.
+    """Returns (output, tape) for a (B, d) batch; the output is (B, d_out).
 
-    The tape keeps the input and every layer's post-activation output.
+    The tape is the list of the input and every layer's post-activation output.
+    A 1-D input is not a batch and raises ContractViolation.
     """
     x = np.asarray(x, dtype=net.flat.dtype)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != net.layer_sizes[0]:
+    if x.shape[1:] != net.layer_sizes[:1]:
         raise ContractViolation(
-            f"input width {x.shape[1]} != first layer size {net.layer_sizes[0]}"
+            f"input shape {x.shape} is not (B, {net.layer_sizes[0]})"
         )
     acts = [x]
     last = len(net.weights) - 1
@@ -110,14 +106,13 @@ def forward(net: DenseNetwork, x: np.ndarray):
         if i < last or net.output_activation == "tanh":
             np.tanh(h, out=h)
         acts.append(h)
-    tape = {"acts": acts, "single": single}
-    return (h[0] if single else h), tape
+    return h, acts
 
 
 def backward(net: DenseNetwork, tape, output_grad: np.ndarray, wrt: str = "both"):
     """Reverse-mode gradients.
 
-    output_grad is dL/d(output) with the same shape forward produced.
+    output_grad is dL/d(output), shaped like forward's (B, d_out) output.
     Returns (param_grad, a fresh vector in the flat layout; input_grad).
     wrt names what the caller reads: "params" leaves input_grad None and
     skips the first layer's input product; "input" leaves param_grad None
@@ -127,24 +122,21 @@ def backward(net: DenseNetwork, tape, output_grad: np.ndarray, wrt: str = "both"
     if wrt not in ("both", "params", "input"):
         raise ContractViolation(f"unknown gradient target {wrt!r}")
     g = np.asarray(output_grad, dtype=net.flat.dtype)
-    if tape["single"]:
-        g = g[None, :]
-    acts = tape["acts"]
     last = len(net.weights) - 1
-    if g.shape != acts[-1].shape:
+    if g.shape != tape[-1].shape:
         raise ContractViolation("output_grad shape does not match the forward pass")
-    grad = input_grad = None
+    grad = None
     if wrt != "input":
         grad = np.empty_like(net.flat)
         grad_w, grad_b = _layer_views(net.layer_sizes, grad)
     for i in range(last, -1, -1):
         if i < last or net.output_activation == "tanh":
-            d = np.square(acts[i + 1])  # tanh' = 1 - tanh^2, from the tanh output
+            d = np.square(tape[i + 1])  # tanh' = 1 - tanh^2, from the tanh output
             np.subtract(1.0, d, out=d)
             d *= g
             g = d
         if grad is not None:
-            np.matmul(acts[i].T, g, out=grad_w[i])
+            np.matmul(tape[i].T, g, out=grad_w[i])
             np.sum(g, axis=0, out=grad_b[i])
         if i > 0 or wrt != "params":
             w = net.weights[i]
@@ -156,9 +148,7 @@ def backward(net: DenseNetwork, tape, output_grad: np.ndarray, wrt: str = "both"
                 g += 0.0
             else:
                 g = g @ w.T
-    if wrt != "params":
-        input_grad = g[0] if tape["single"] else g
-    return grad, input_grad
+    return grad, (None if wrt == "params" else g)
 
 
 @dataclass
@@ -248,7 +238,8 @@ def set_params_from_vector(net: DenseNetwork, vec: np.ndarray) -> None:
 
 
 def save_checkpoint(path, header: dict, **arrays) -> None:
-    """One npz: a JSON header (with format_version) plus named arrays.
+    """One npz: a JSON header (with format_version) plus named arrays,
+    replacing the file at path only once it is written whole.
 
     An AdamState value is stored as arrays `<name>_m`, `<name>_v` and its
     scalars under header["adam"][name].
@@ -262,8 +253,17 @@ def save_checkpoint(path, header: dict, **arrays) -> None:
             head["adam"][name] = scalars
         else:
             out[name] = value
-    with open(path, "wb") as fh:  # a file handle keeps np.savez from adding ".npz"
-        np.savez(fh, header=json.dumps(head), **out)
+    # Written whole or not at all: into a new file beside the target, created
+    # with the mode a plain open() gives, then renamed over it.
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:  # a file handle keeps np.savez from adding ".npz"
+            np.savez(fh, header=json.dumps(head), **out)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 import io
 import json
+import os
 import re
 from pathlib import Path
 
@@ -196,12 +197,25 @@ def test_config_agent_block_is_checked_at_load(tmp_path, key, value):
         ("cell", "p_min_dbm", 4000.0, "p_min_dbm"),
         ("cell", "p_max_dbm", 4000.0, "p_max_dbm"),
         ("cell", "noise_psd_dbm_hz", 4000.0, "noise_psd"),
+        # Counts whose arrays would not fit in memory: a replay buffer with
+        # 2e30 columns, one of 1e12 rows, and a channel draw of 1e12 neighbours.
+        pytest.param("cell", "num_ues", 10**30, "num_ues", id="cell-num_ues-10**30"),
+        pytest.param("agent", "buffer_capacity", 10**12, "buffer_capacity",
+                     id="agent-buffer_capacity-10**12"),
+        pytest.param("cell", "num_neighbors", 10**12, "num_neighbors",
+                     id="cell-num_neighbors-10**12"),
     ],
 )
 def test_config_blocks_are_checked_at_load(tmp_path, block, key, value, field):
     with pytest.raises(ConfigurationError) as info:
         harness.load_config(_edited_config(tmp_path, block, key, value))
     assert f"{block}: " in str(info.value) and field in str(info.value)
+
+
+def test_size_check_is_skipped_where_the_memory_size_is_unknown(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "sysconf")  # as on Windows
+    cfg = harness.load_config(_edited_config(tmp_path, "agent", "buffer_capacity", 10**12))
+    assert cfg.agent.buffer_capacity == 10**12
 
 
 @pytest.mark.parametrize(

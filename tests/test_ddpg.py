@@ -55,8 +55,7 @@ class ConstantRewardEnv:
         return self.obs
 
     def step(self, action):
-        info = {"q_avg": 2.0, "q_min": 1.0, "q_max": 3.0}
-        return self.obs, 1.0, info
+        return self.obs, 1.0, np.array([2.0, 1.0, 3.0])  # (q_avg, q_min, q_max)
 
 
 # -- hyperparameters ---------------------------------------------------------
@@ -239,7 +238,7 @@ def test_critic_gradients_match_finite_differences():
     batch = random_batch(agent)
     loss, grads = agent.critic_gradients(batch)
     assert np.isclose(loss, td_loss(agent, batch))
-    fd = finite_diff(agent.critic.parameters(), lambda: td_loss(agent, batch))
+    fd = finite_diff([agent.critic.flat], lambda: td_loss(agent, batch))
     assert np.allclose(grads, np.concatenate([f.ravel() for f in fd]), rtol=1e-5, atol=1e-8)
 
 
@@ -248,7 +247,7 @@ def test_actor_gradients_match_finite_differences():
     batch = random_batch(agent)
     loss, grads = agent.actor_gradients(batch)
     assert np.isclose(loss, actor_objective(agent, batch))
-    fd = finite_diff(agent.actor.parameters(), lambda: actor_objective(agent, batch))
+    fd = finite_diff([agent.actor.flat], lambda: actor_objective(agent, batch))
     assert np.allclose(grads, np.concatenate([f.ravel() for f in fd]), rtol=1e-5, atol=1e-8)
 
 
@@ -351,6 +350,7 @@ def test_run_episode_return_and_qos_bookkeeping():
     ret, qos = run_episode(agent, env, train=False)
     assert np.isclose(ret, 1 + 0.9 + 0.81)
     assert qos == {"q_avg": 2.0, "q_min": 1.0, "q_max": 3.0}
+    assert list(qos) == ["q_avg", "q_min", "q_max"]
 
 
 def test_evaluate_policy_constant_reward():

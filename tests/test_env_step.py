@@ -181,9 +181,8 @@ class ReferenceEnv:
         penalties = ref_penalties(alloc, self.config)
         reward = ref_reward(qos, penalties, self.task)
         state = mdp.encode_state(qos, alloc, self.task)
-        self.snapshot, self.prev_alloc = s, alloc
-        info = {**mdp.qos_info(qos), "power_penalty": penalties[0], "rb_penalty": penalties[1]}
-        return state, reward, info
+        self.snapshot, self.prev_alloc, self.penalties = s, alloc, penalties
+        return state, reward, qos
 
 
 # -- lockstep comparison ------------------------------------------------------
@@ -230,17 +229,18 @@ def _run_lockstep(task, seed, stationary, episodes=3, horizon=40):
             ref.snapshot = replace(ref.snapshot, traffic_levels=idle.copy())
         for t in range(horizon):
             raw = acts[ep * horizon + t]
-            obs, reward, info = env.step(raw)
-            ref_obs, ref_reward_, ref_info = ref.step(raw)
+            obs, reward, qos = env.step(raw)
+            ref_obs, ref_reward_, ref_qos = ref.step(raw)
             assert _bits(obs) == _bits(ref_obs)
             assert _bits(np.float64(reward)) == _bits(np.float64(ref_reward_))
             assert type(reward) is type(ref_reward_) is float
-            assert info.keys() == ref_info.keys()
-            for key in info:
-                assert type(info[key]) is type(ref_info[key]), key
-                assert _bits(np.float64(info[key])) == _bits(np.float64(ref_info[key])), key
+            assert _bits(qos) == _bits(ref_qos)
+            penalties = mdp.compute_penalties(env.prev_alloc, env.config)
+            for got, want in zip(penalties, ref.penalties, strict=True):
+                assert type(got) is type(want)
+                assert _bits(np.float64(got)) == _bits(np.float64(want))
             _assert_same_state(env, ref)
-            idle_steps += info["q_min"] == task.demand_max and not env.snapshot.active_mask.any()
+            idle_steps += qos[1] == task.demand_max and not env.snapshot.active_mask.any()
             over_requests += int(env.prev_alloc.rb_requested.sum()) > task.cell_config.num_rbs
     assert env.rng.bit_generator.state == ref.rng.bit_generator.state
     return idle_steps, over_requests, len(ref.crossings)
@@ -345,12 +345,10 @@ def test_rejected_action_leaves_the_env_untouched():
         assert env.rng.bit_generator.state == rng_state
         assert env.snapshot is snapshot and env.prev_alloc is prev_alloc
         good = np.random.default_rng(t).uniform(-1, 1, 2 * n)
-        (obs, reward, info), (t_obs, t_reward, t_info) = env.step(good), twin.step(good)
+        (obs, reward, qos), (t_obs, t_reward, t_qos) = env.step(good), twin.step(good)
         assert _bits(obs) == _bits(t_obs)
         assert _bits(np.float64(reward)) == _bits(np.float64(t_reward))
-        assert info.keys() == t_info.keys()
-        for key in info:
-            assert _bits(np.float64(info[key])) == _bits(np.float64(t_info[key])), key
+        assert _bits(qos) == _bits(t_qos)
         _assert_same_state(env, twin)
     assert env.rng.bit_generator.state == twin.rng.bit_generator.state
 

@@ -16,7 +16,6 @@ from metaran.mdp import (
     decode_action,
     encode_state,
     observation_dim,
-    qos_info,
     qos_stats,
     sigmoid,
     zero_allocation,
@@ -314,12 +313,3 @@ def test_state_vector_layout():
     assert np.allclose(vec[:3], [0.15, 0.1, 0.2])  # q_avg, q_min, q_max
     assert np.allclose(vec[3:5], 0.0)  # previous requested counts / K
     assert np.allclose(vec[5:7], -1.0)  # previous powers at p_min
-
-
-def test_qos_info_names_the_stats():
-    task = make_task(num_ues=3, num_rbs=10)
-    qos = _qos(task, [1e6, 2e6, 9e6], [True, True, False])
-    info = qos_info(qos)
-    assert list(info) == ["q_avg", "q_min", "q_max"]
-    assert info == {"q_avg": 1.5e6, "q_min": 1e6, "q_max": 2e6}
-    assert all(type(v) is float for v in info.values())

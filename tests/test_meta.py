@@ -9,7 +9,7 @@ from metaran import mdp, meta as meta_mod, nets
 from metaran.cell import CellConfig
 from metaran.ddpg import DdpgAgent, Hyper, run_episode
 from metaran.episode import TaskEnv
-from metaran.errors import ConfigurationError
+from metaran.errors import ConfigurationError, TrainingDivergence
 from metaran.mdp import TaskSpec
 from metaran.meta import (
     MetaSchedule,
@@ -123,6 +123,29 @@ def test_single_task_update_equals_plain_adam_step():
     apply_meta_update(m, ga, gc)
     assert np.allclose(m.actor_vec, ref.actor_vec, atol=0)
     assert np.allclose(m.critic_vec, ref.critic_vec, atol=0)
+
+
+@pytest.mark.parametrize("bad", ["actor", "critic"])
+def test_non_finite_meta_gradient_raises_and_changes_nothing(bad):
+    h = tiny_hyper()
+    m = init_meta_model(5, 2, h, seed=3)
+    rng = np.random.default_rng(2)
+    # One good step first, so that the moments and step counts are not zero.
+    apply_meta_update(m, rng.normal(size=m.actor_vec.shape), rng.normal(size=m.critic_vec.shape))
+    grads = {"actor": rng.normal(size=m.actor_vec.shape),
+             "critic": rng.normal(size=m.critic_vec.shape)}
+    grads[bad][1] = np.nan
+
+    def state():
+        opts = (m.actor_opt, m.critic_opt)
+        return ([m.actor_vec.tobytes(), m.critic_vec.tobytes()]
+                + [a.tobytes() for o in opts for a in (o.m, o.v)]
+                + [o.step_count for o in opts])
+
+    before = state()
+    with pytest.raises(TrainingDivergence):
+        apply_meta_update(m, grads["actor"], grads["critic"])
+    assert state() == before
 
 
 def test_multi_task_update_sums_gradients():

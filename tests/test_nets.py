@@ -7,6 +7,11 @@ from metaran import nets
 from metaran.errors import ConfigurationError, ContractViolation
 
 
+def layers(net):
+    """[W1, b1, W2, b2, ...]: the layer views into net.flat, in its order."""
+    return [p for wb in zip(net.weights, net.biases) for p in wb]
+
+
 # -- initialization ----------------------------------------------------------
 
 
@@ -24,14 +29,14 @@ def test_init_deterministic_per_seed():
     a = nets.init_network((4, 8, 1), seed=3)
     b = nets.init_network((4, 8, 1), seed=3)
     c = nets.init_network((4, 8, 1), seed=4)
-    assert all(np.array_equal(x, y) for x, y in zip(a.parameters(), b.parameters()))
+    assert all(np.array_equal(x, y) for x, y in zip(layers(a), layers(b)))
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
 def test_layer_views_alias_the_flat_vector():
     net = nets.init_network((3, 4, 2), seed=0)
-    assert all(np.shares_memory(p, net.flat) for p in net.parameters())
-    assert np.array_equal(np.concatenate([p.ravel() for p in net.parameters()]), net.flat)
+    assert all(np.shares_memory(p, net.flat) for p in layers(net))
+    assert np.array_equal(np.concatenate([p.ravel() for p in layers(net)]), net.flat)
     net.weights[1][2, 1] = 7.0
     assert net.flat[3 * 4 + 4 + 2 * 2 + 1] == 7.0
     net.flat[-1] = -3.0
@@ -67,7 +72,7 @@ def test_forward_matches_manual_composition():
     x = np.array([0.3, -0.7, 1.1])
     h = np.tanh(x @ net.weights[0] + net.biases[0])
     want = np.tanh(h @ net.weights[1] + net.biases[1])
-    got, _ = nets.forward(net, x)
+    got = nets.forward(net, x[None, :])[0][0]
     assert np.allclose(got, want, atol=1e-14)
 
 
@@ -76,7 +81,7 @@ def test_identity_head_is_linear_in_last_layer():
     x = np.array([0.3, -0.7, 1.1])
     h = np.tanh(x @ net.weights[0] + net.biases[0])
     want = h @ net.weights[1] + net.biases[1]
-    got, _ = nets.forward(net, x)
+    got = nets.forward(net, x[None, :])[0][0]
     assert np.allclose(got, want, atol=1e-14)
     assert np.abs(got).max() > 0  # not squashed
 
@@ -85,37 +90,35 @@ def test_batch_forward_matches_per_row():
     net = nets.init_network((4, 6, 3), seed=2)
     xs = np.random.default_rng(0).normal(size=(5, 4))
     batch, _ = nets.forward(net, xs)
-    rows = np.stack([nets.forward(net, x)[0] for x in xs])
+    rows = np.stack([nets.forward(net, x[None, :])[0][0] for x in xs])
     assert np.allclose(batch, rows, atol=1e-14)
 
 
 def test_forward_rejects_wrong_width():
     net = nets.init_network((4, 6, 3), seed=2)
     with pytest.raises(ContractViolation):
-        nets.forward(net, np.zeros(5))
+        nets.forward(net, np.zeros((1, 5)))
+    with pytest.raises(ContractViolation, match=r"not \(B, 4\)"):
+        nets.forward(net, np.zeros(4))  # a vector of the right width is not a batch
 
 
 # -- backward ----------------------------------------------------------------
 
 
 def finite_diff_param_grads(net, x, loss_weights, eps=1e-6):
-    """Central finite differences of L = loss_weights . forward(net, x)."""
-    grads = []
-    for p in net.parameters():
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            i = it.multi_index
-            orig = p[i]
-            p[i] = orig + eps
-            up = float(loss_weights @ nets.forward(net, x)[0])
-            p[i] = orig - eps
-            dn = float(loss_weights @ nets.forward(net, x)[0])
-            p[i] = orig
-            g[i] = (up - dn) / (2 * eps)
-            it.iternext()
-        grads.append(g)
-    return grads
+    """Central finite differences of L = loss_weights . forward(net, x) for
+    one input vector x, one entry of net.flat at a time."""
+    p = net.flat
+    g = np.zeros_like(p)
+    for i in range(p.size):
+        orig = p[i]
+        p[i] = orig + eps
+        up = float(loss_weights @ nets.forward(net, x[None, :])[0][0])
+        p[i] = orig - eps
+        dn = float(loss_weights @ nets.forward(net, x[None, :])[0][0])
+        p[i] = orig
+        g[i] = (up - dn) / (2 * eps)
+    return g
 
 
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
@@ -124,25 +127,26 @@ def test_backward_matches_finite_differences(activation):
     net = nets.init_network((3, 5, 2), seed=5, output_activation=activation)
     x = rng.normal(size=3)
     w = rng.normal(size=2)
-    out, tape = nets.forward(net, x)
-    grads, _ = nets.backward(net, tape, w)
+    out, tape = nets.forward(net, x[None, :])
+    grads, _ = nets.backward(net, tape, w[None, :])
     fd = finite_diff_param_grads(net, x, w)
-    assert np.allclose(grads, np.concatenate([f.ravel() for f in fd]), rtol=1e-6, atol=1e-8)
+    assert np.allclose(grads, fd, rtol=1e-6, atol=1e-8)
 
 
 def test_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     net = nets.init_network((4, 5, 1), seed=6, output_activation="identity")
     x = rng.normal(size=4)
-    _, tape = nets.forward(net, x)
-    _, in_grad = nets.backward(net, tape, np.array([1.0]))
+    _, tape = nets.forward(net, x[None, :])
+    _, in_grad = nets.backward(net, tape, np.array([[1.0]]))
     eps = 1e-6
     for i in range(4):
         xp, xm = x.copy(), x.copy()
         xp[i] += eps
         xm[i] -= eps
-        fd = (nets.forward(net, xp)[0][0] - nets.forward(net, xm)[0][0]) / (2 * eps)
-        assert np.isclose(in_grad[i], fd, rtol=1e-6, atol=1e-9)
+        fd = (nets.forward(net, xp[None, :])[0][0, 0]
+              - nets.forward(net, xm[None, :])[0][0, 0]) / (2 * eps)
+        assert np.isclose(in_grad[0, i], fd, rtol=1e-6, atol=1e-9)
 
 
 def test_batch_gradients_sum_over_rows():
@@ -153,8 +157,8 @@ def test_batch_gradients_sum_over_rows():
     batch_grads, _ = nets.backward(net, tape, g)
     summed = None
     for x, gr in zip(xs, g):
-        _, tape1 = nets.forward(net, x)
-        grads1, _ = nets.backward(net, tape1, gr)
+        _, tape1 = nets.forward(net, x[None, :])
+        grads1, _ = nets.backward(net, tape1, gr[None, :])
         if summed is None:
             summed = grads1
         else:
@@ -164,13 +168,12 @@ def test_batch_gradients_sum_over_rows():
 
 
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
-@pytest.mark.parametrize("batch", [None, 6])
+@pytest.mark.parametrize("batch", [1, 6])
 def test_one_sided_backward_is_bitwise_the_full_backward(activation, batch):
     rng = np.random.default_rng(8)
     net = nets.init_network((5, 9, 7, 3), seed=8, output_activation=activation)
-    shape = (3,) if batch is None else (batch, 3)
-    x = rng.normal(size=shape[:-1] + (5,))
-    g = rng.normal(size=shape)
+    x = rng.normal(size=(batch, 5))
+    g = rng.normal(size=(batch, 3))
     _, tape = nets.forward(net, x)
     full_params, full_input = nets.backward(net, tape, g)
     params_only, none_input = nets.backward(net, tape, g, wrt="params")
@@ -183,7 +186,7 @@ def test_one_sided_backward_is_bitwise_the_full_backward(activation, batch):
 
 def matmul_backward(net, tape, g):
     """backward with every input product written as g @ W.T."""
-    acts, last = tape["acts"], len(net.weights) - 1
+    acts, last = tape, len(net.weights) - 1
     g = np.asarray(g, dtype=net.flat.dtype).reshape(acts[-1].shape)
     w_grads, b_grads = [], []
     for i in range(last, -1, -1):
@@ -218,16 +221,16 @@ def test_fan_out_one_head_backward_is_bitwise_the_matmul(dtype):
 
 def test_backward_rejects_unknown_target():
     net = nets.init_network((3, 4, 2), seed=7)
-    _, tape = nets.forward(net, np.zeros(3))
+    _, tape = nets.forward(net, np.zeros((1, 3)))
     with pytest.raises(ContractViolation):
-        nets.backward(net, tape, np.zeros(2), wrt="weights")
+        nets.backward(net, tape, np.zeros((1, 2)), wrt="weights")
 
 
 def test_backward_rejects_mismatched_grad_shape():
     net = nets.init_network((3, 4, 2), seed=7)
-    _, tape = nets.forward(net, np.zeros(3))
+    _, tape = nets.forward(net, np.zeros((1, 3)))
     with pytest.raises(ContractViolation):
-        nets.backward(net, tape, np.zeros(3))
+        nets.backward(net, tape, np.zeros((1, 3)))
 
 
 # -- Adam --------------------------------------------------------------------
@@ -273,8 +276,8 @@ def test_flat_adam_and_soft_update_equal_per_layer_reference_bitwise():
     # the flat vector must reproduce the per-layer formulas bit for bit.
     net = nets.init_network((4, 6, 3), seed=3)
     target = nets.init_network((4, 6, 3), seed=4)
-    ref = [p.copy() for p in net.parameters()]
-    ref_target = [p.copy() for p in target.parameters()]
+    ref = [p.copy() for p in layers(net)]
+    ref_target = [p.copy() for p in layers(target)]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
     state = nets.init_adam(net.flat, lr=1e-3)
     rng = np.random.default_rng(0)
@@ -282,7 +285,7 @@ def test_flat_adam_and_soft_update_equal_per_layer_reference_bitwise():
         g = rng.normal(size=net.flat.size)
         nets.adam_step(net.flat, g, state)
         nets.soft_update(target.flat, net.flat, 0.05)
-        g_layers = nets.DenseNetwork(net.layer_sizes, g).parameters()
+        g_layers = layers(nets.DenseNetwork(net.layer_sizes, g))
         for p, gp, (m, v) in zip(ref, g_layers, moments):
             m *= 0.9
             m += (1.0 - 0.9) * gp
@@ -342,7 +345,7 @@ def test_float32_network_is_the_rounded_float64_network():
     net64 = nets.init_network((4, 6, 2), seed=3)
     net32 = nets.init_network((4, 6, 2), seed=3, dtype="float32")
     assert net32.flat.dtype == np.float32
-    assert all(p.dtype == np.float32 for p in net32.parameters())
+    assert all(p.dtype == np.float32 for p in layers(net32))
     assert np.array_equal(net32.flat, net64.flat.astype(np.float32))
     with pytest.raises(ConfigurationError):
         nets.init_network((4, 6, 2), seed=3, dtype="float16")
@@ -402,3 +405,28 @@ def test_adam_state_blob_round_trip(tmp_path):
     assert np.array_equal(back.m, state.m)
     assert np.array_equal(back.v, state.v)
     assert np.array_equal(arrays["params"], p)
+
+
+def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.npz"
+    nets.save_checkpoint(path, {"note": "old"}, params=np.arange(4.0))
+    before = path.read_bytes()
+
+    def torn_savez(fh, **arrays):  # a write cut short, as by a full disk
+        fh.write(b"PK\x03\x04 torn")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(np, "savez", torn_savez)
+    with pytest.raises(OSError, match="No space"):
+        nets.save_checkpoint(path, {"note": "new"}, params=np.zeros(4))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
+
+def test_checkpoint_file_has_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain.npz"
+    with open(plain, "wb"):
+        pass
+    path = tmp_path / "model.npz"
+    nets.save_checkpoint(path, {}, params=np.zeros(2))
+    assert path.stat().st_mode == plain.stat().st_mode
