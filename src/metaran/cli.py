@@ -11,11 +11,12 @@ import sys
 from pathlib import Path
 
 from . import meta as meta_mod
-from .ddpg import DdpgAgent, evaluate_policy
+from .ddpg import DdpgAgent, evaluate_policy, layer_sizes
 from .episode import TaskEnv
 from .errors import ConfigurationError
-from .harness import MetricsLog, _record_trace, default_config, load_config
+from .harness import METHODS, MetricsLog, _record_trace, default_config, load_config
 from .harness import final_return, run_experiment, summarize
+from .nets import num_params
 from .seeding import derive_rng
 
 
@@ -38,9 +39,9 @@ def _load_model(path, new_task, hyper) -> meta_mod.MetaModel:
     """The model checkpoint at path, checked against the networks the config
     builds for the new task; ConfigurationError naming the file otherwise."""
     model = meta_mod.load_meta_model(path)
-    fresh = meta_mod.init_meta_model(*meta_mod.task_dims(new_task), hyper, seed=0)
-    for name in ("actor_vec", "critic_vec"):
-        if getattr(model, name).shape != getattr(fresh, name).shape:
+    sizes = layer_sizes(*meta_mod.task_dims(new_task), hyper)
+    for name, layers in zip(("actor_vec", "critic_vec"), sizes):
+        if getattr(model, name).shape != (num_params(layers),):
             raise ConfigurationError(f"{path}: {name} does not fit the config's networks")
     return model
 
@@ -82,7 +83,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("baseline", help="run a baseline method on the new task")
     _add_common(p)
-    p.add_argument("--kind", dest="mode", choices=("scratch", "tl", "mtl"), required=True)
+    p.add_argument("--kind", dest="mode", choices=METHODS[1:], required=True)
 
     p = sub.add_parser("eval", help="evaluate a model checkpoint greedily on the new task")
     _add_common(p)
@@ -104,7 +105,7 @@ def main(argv=None) -> int:
 
     if args.command in ("meta-train", "baseline"):
         log = run_experiment(config, mode=args.mode)
-        print(f"wrote {len(log.records)} records to {out}")
+        print(f"wrote {sum(map(len, log.runs.values()))} records to {out}")
         return 0
 
     if args.command == "adapt":
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
             meta_mod.save_meta_model(out / f"adapted_agent_seed{seed}.npz",
                                      meta_mod.agent_model(agent))
             log = MetricsLog()
-            _record_trace(log, "meta", new_task.task_id, seed, trace)
+            _record_trace(log, "meta", seed, trace)
             log.write_csvs(out)
             final = final_return([e["episode_return"] for e in trace])
             print(f"seed {seed}: final return {final:.4f}")

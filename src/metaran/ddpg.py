@@ -136,15 +136,19 @@ def sample_batch(
     )
 
 
+def layer_sizes(obs_dim: int, act_dim: int, hyper: Hyper) -> tuple:
+    """(actor, critic) layer sizes: actor obs -> action, critic (obs, action) -> Q."""
+    return ((obs_dim, *hyper.hidden_sizes, act_dim),
+            (obs_dim + act_dim, *hyper.hidden_sizes, 1))
+
+
 def init_actor_critic(obs_dim: int, act_dim: int, hyper: Hyper, rng: np.random.Generator):
-    """Fresh (actor, critic) networks: a tanh-headed actor obs -> action and
-    an identity-headed critic (obs, action) -> Q, seeded by two draws from
-    rng, the actor's first."""
+    """Fresh (actor, critic) networks of layer_sizes, the actor tanh-headed and
+    the critic identity-headed, seeded by two draws from rng, the actor's first."""
     actor_seed, critic_seed = (int(rng.integers(2**31)) for _ in range(2))
-    actor = nets.init_network((obs_dim, *hyper.hidden_sizes, act_dim), actor_seed, "tanh",
-                              hyper.dtype)
-    critic = nets.init_network((obs_dim + act_dim, *hyper.hidden_sizes, 1), critic_seed,
-                               "identity", hyper.dtype)
+    actor_sizes, critic_sizes = layer_sizes(obs_dim, act_dim, hyper)
+    actor = nets.init_network(actor_sizes, actor_seed, "tanh", hyper.dtype)
+    critic = nets.init_network(critic_sizes, critic_seed, "identity", hyper.dtype)
     return actor, critic
 
 

@@ -15,13 +15,14 @@ import numpy as np
 
 from . import meta as meta_mod
 from .cell import CellConfig, dbm_to_mw
-from .ddpg import Hyper
+from .ddpg import Hyper, layer_sizes
 from .errors import ConfigurationError
 from .mdp import TaskSpec, action_dim, observation_dim
 from .meta import MetaSchedule
+from .nets import num_params
 
 SCHEMA_VERSION = 1
-METHODS = ("meta", "scratch", "tl", "mtl")
+METHODS = ("meta", "scratch", "tl", "mtl")  # meta, then the baselines
 # A method's final return on a seed is the mean of its last FINAL_SHOTS
 # adaptation shots (all of them when there are fewer): one shot of a few
 # greedy episodes is too noisy to rank methods on.
@@ -121,13 +122,13 @@ class ExperimentConfig:
         h, n = self.agent, self.cell.num_ues
         obs, act = observation_dim(n), action_dim(n)
         item = np.dtype(h.dtype).itemsize
-        critic = (obs + act, *h.hidden_sizes, 1)
+        actor, critic = (num_params(sizes) * item for sizes in layer_sizes(obs, act, h))
         num_rbs = max(t.num_rbs for t in (*self.tasks, self.new_task))
         for fields, what, size in (
             ("agent: buffer_capacity and cell: num_ues", "one task's replay buffer",
              h.buffer_capacity * (2 * obs + act + 1) * item),
-            ("cell: num_ues and agent: hidden_sizes", "one critic's parameters",
-             sum(a * b + b for a, b in zip(critic[:-1], critic[1:])) * item),
+            ("cell: num_ues and agent: hidden_sizes", "one actor's parameters", actor),
+            ("cell: num_ues and agent: hidden_sizes", "one critic's parameters", critic),
             ("cell: num_neighbors, num_ues and the tasks' largest num_rbs", "one channel draw",
              (1 + self.cell.num_neighbors) * n * num_rbs * 8),
         ):
@@ -302,37 +303,33 @@ def default_config(profile: str = "paper", out_dir: str = "results") -> Experime
 
 @dataclass
 class MetricsLog:
-    """Append-only per-episode records, one CSV per (method, seed)."""
+    """Per-episode rows, one list per (method, seed) and so per CSV:
+    runs[(method, seed)] is [(episode, return, q_avg, q_min, q_max), ...]."""
 
-    records: list = field(default_factory=list)
+    runs: dict = field(default_factory=dict)
 
     def add(self, method, task_id, seed, episode, ret, q_avg, q_min, q_max):
-        self.records.append({"method": method, "task_id": task_id, "seed": seed,
-                             "episode": episode, "return": ret,
-                             "q_avg": q_avg, "q_min": q_min, "q_max": q_max})
+        """task_id is taken and not stored: no reader needs it."""
+        self.runs.setdefault((method, seed), []).append((episode, ret, q_avg, q_min, q_max))
 
     def methods(self) -> list:
-        seen = []
-        for r in self.records:
-            if r["method"] not in seen:
-                seen.append(r["method"])
-        return seen
+        return list(dict.fromkeys(method for method, _ in self.runs))
 
-    def select(self, **keys) -> list:
-        return [r for r in self.records if all(r[k] == v for k, v in keys.items())]
+    def seeds(self, method) -> list:
+        return sorted(seed for m, seed in self.runs if m == method)
 
     def write_csvs(self, out_dir) -> list:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         written = []
         for method in self.methods():
-            for seed in sorted({r["seed"] for r in self.select(method=method)}):
+            for seed in self.seeds(method):
                 path = out / f"{method}_seed{seed}.csv"
                 with open(path, "w", newline="") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(CSV_COLUMNS)
-                    for r in self.select(method=method, seed=seed):
-                        writer.writerow([r["episode"], *(repr(r[c]) for c in CSV_COLUMNS[1:])])
+                    for episode, *values in self.runs[method, seed]:
+                        writer.writerow([episode, *map(repr, values)])
                 written.append(path)
         return written
 
@@ -356,7 +353,7 @@ class MetricsLog:
                 try:
                     for row in reader:
                         episode, *values = (row[c] for c in CSV_COLUMNS)
-                        log.add(match[1], -1, int(match[2]), int(episode),
+                        log.add(match[1], None, int(match[2]), int(episode),
                                 *(float(v) for v in values))
                 except (TypeError, ValueError) as exc:
                     raise ConfigurationError(
@@ -367,9 +364,9 @@ class MetricsLog:
 # -- experiment driver -----------------------------------------------------
 
 
-def _record_trace(log, method, task_id, seed, trace):
+def _record_trace(log, method, seed, trace):
     for e in trace:
-        log.add(method, task_id, seed, e["shot"], e["episode_return"],
+        log.add(method, None, seed, e["shot"], e["episode_return"],
                 e["q_avg"], e["q_min"], e["q_max"])
 
 
@@ -384,29 +381,25 @@ def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
     """
     if mode not in METHODS + ("all",):
         raise ConfigurationError(f"unknown mode {mode!r}")
-    wanted = list(METHODS) if mode == "all" else [mode]
+    wanted = METHODS if mode == "all" else (mode,)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     donors = config.donor_task_specs()
     new_task = config.new_task_spec()
     schedule = config.meta_schedule()
     hyper = config.hyper()
-    budget = schedule.adapt_budget
     log = MetricsLog()
 
     for seed in config.seeds:
-        if "meta" in wanted:
-            model = meta_mod.meta_train(donors, schedule, hyper, seed)
-            meta_mod.save_meta_model(out / f"meta_model_seed{seed}.npz", model)
-            _, trace = meta_mod.meta_adapt_new(model, new_task, schedule, hyper, seed)
-            _record_trace(log, "meta", new_task.task_id, seed, trace)
-        for kind in ("scratch", "tl", "mtl"):
-            if kind in wanted:
-                _, trace = meta_mod.run_baseline(
-                    kind, new_task, donors, budget, hyper, seed,
-                    donor_budget=config.donor_budget,
-                )
-                _record_trace(log, kind, new_task.task_id, seed, trace)
+        for method in wanted:
+            if method == "meta":
+                model = meta_mod.meta_train(donors, schedule, hyper, seed)
+                meta_mod.save_meta_model(out / f"meta_model_seed{seed}.npz", model)
+                _, trace = meta_mod.meta_adapt_new(model, new_task, schedule, hyper, seed)
+            else:
+                _, trace = meta_mod.run_baseline(method, new_task, donors, schedule.adapt_budget,
+                                                 hyper, seed, donor_budget=config.donor_budget)
+            _record_trace(log, method, seed, trace)
         log.write_csvs(out)
     return log
 
@@ -449,21 +442,18 @@ def summarize(log: MetricsLog) -> str:
                  f"last min({FINAL_SHOTS}, shots) shots) ==")
     finals = {}
     for method in methods:
-        per_seed = []
-        for seed in sorted({r["seed"] for r in log.select(method=method)}):
-            rows = log.select(method=method, seed=seed)
-            per_seed.append(final_return([r["return"] for r in rows]))
+        per_seed = [final_return([row[1] for row in log.runs[method, seed]])
+                    for seed in log.seeds(method)]
         mean = float(np.mean(per_seed))
         std = float(np.std(per_seed))
         finals[method] = mean
         flag = "  (single seed, std not meaningful)" if len(per_seed) == 1 else ""
         lines.append(f"  {method:8s} {mean:12.6f} +- {std:.6f}{flag}")
 
-    if "meta" in finals and len(finals) > 1:
-        baselines = {m: v for m, v in finals.items() if m != "meta"}
-        best_base = max(baselines, key=baselines.get)
-        gain = relative_gain(finals["meta"], baselines[best_base])
-        figure = (f"{gain * 100:.1f}%" if baselines[best_base] != 0
+    if "meta" in finals:
+        best_base = max((m for m in methods if m != "meta"), key=finals.get)
+        gain = relative_gain(finals["meta"], finals[best_base])
+        figure = (f"{gain * 100:.1f}%" if finals[best_base] != 0
                   else f"undefined ({best_base} final return is 0)")
         lines.append("")
         lines.append(f"Relative gain of meta over best baseline ({best_base}): {figure}")
@@ -471,24 +461,25 @@ def summarize(log: MetricsLog) -> str:
             "(reported figure for the evaluation-scale setup in the source study: 19.8%)"
         )
 
+    rows = {method: [] for method in methods}  # run after run, in the order added
+    for (method, _), run in log.runs.items():
+        rows[method] += run
     lines.append("")
     lines.append("== Min-QoS five-number summary (bits/s) ==")
     for method in methods:
-        q = [r["q_min"] for r in log.select(method=method)]
-        mn, q1, med, q3, mx = five_number_summary(q)
+        mn, q1, med, q3, mx = five_number_summary(row[3] for row in rows[method])
         lines.append(
             f"  {method:8s} min={mn:.3e} q1={q1:.3e} med={med:.3e} q3={q3:.3e} max={mx:.3e}"
         )
 
     lines.append("")
     lines.append("== Mean return per adaptation shot ==")
-    shots = sorted({r["episode"] for r in log.records})
-    header = "  shot  " + "  ".join(f"{m:>10s}" for m in methods)
-    lines.append(header)
+    shots = sorted({row[0] for method in methods for row in rows[method]})
+    lines.append("  shot  " + "  ".join(f"{m:>10s}" for m in methods))
     for shot in shots:
         cells = []
         for method in methods:
-            vals = [r["return"] for r in log.select(method=method, episode=shot)]
+            vals = [row[1] for row in rows[method] if row[0] == shot]
             cells.append(f"{np.mean(vals):10.4f}" if vals else " " * 10)
         lines.append(f"  {shot:4d}  " + "  ".join(cells))
     return "\n".join(lines)

@@ -62,6 +62,11 @@ class DenseNetwork:
         return DenseNetwork(self.layer_sizes, self.flat.copy(), self.output_activation)
 
 
+def num_params(layer_sizes) -> int:
+    """Length of the flat vector of a network with these layer sizes."""
+    return sum(a * b + b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
 def init_network(
     layer_sizes, seed: int, output_activation: str = "tanh", dtype: str = "float64"
 ) -> DenseNetwork:
@@ -80,7 +85,7 @@ def init_network(
     if dtype not in DTYPES:
         raise ConfigurationError(f"dtype must be one of {DTYPES}, got {dtype!r}")
     rng = np.random.default_rng(seed)
-    flat = np.zeros(sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:])))
+    flat = np.zeros(num_params(sizes))
     for w in _layer_views(sizes, flat)[0]:
         bound = 1.0 / np.sqrt(w.shape[0])
         w[...] = rng.uniform(-bound, bound, size=w.shape)

@@ -97,7 +97,7 @@ def test_meta_train_then_eval(tmp_path, capsys):
     out_dir = tmp_path / "out"
     capsys.readouterr()
     assert cli.main(["adapt", "--config", str(config_path)]) == 0
-    returns = [r["return"] for r in MetricsLog.read_csvs(out_dir).select(method="meta")]
+    returns = [row[1] for row in MetricsLog.read_csvs(out_dir).runs["meta", 0]]
     assert len(returns) == 3
     assert capsys.readouterr().out.strip() == f"seed 0: final return {np.mean(returns):.4f}"
     ckpt = out_dir / "adapted_agent_seed0.npz"

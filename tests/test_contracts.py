@@ -212,6 +212,18 @@ def test_config_blocks_are_checked_at_load(tmp_path, block, key, value, field):
     assert f"{block}: " in str(info.value) and field in str(info.value)
 
 
+def test_size_check_covers_the_actor(tmp_path, monkeypatch):
+    # 8 GiB of memory. Hidden sizes [1, 3e8] give a float32 actor of 14.4 GB
+    # and a critic of 3.6 GB: only the actor does not fit.
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(ConfigurationError, match=r"hidden_sizes .*one actor's parameters"):
+        harness.load_config(_edited_config(tmp_path, "agent", "hidden_sizes", [1, 300_000_000]))
+    for profile in ("toy", "paper"):
+        harness.save_config(tmp_path / "config.json", harness.default_config(profile))
+        assert harness.load_config(tmp_path / "config.json") == harness.default_config(profile)
+
+
 def test_size_check_is_skipped_where_the_memory_size_is_unknown(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "sysconf")  # as on Windows
     cfg = harness.load_config(_edited_config(tmp_path, "agent", "buffer_capacity", 10**12))

@@ -153,8 +153,8 @@ def fake_log():
 def test_metrics_selection_helpers():
     log = fake_log()
     assert log.methods() == ["meta", "scratch"]
-    assert {r["seed"] for r in log.records} == {0, 1}
-    assert len(log.select(method="meta", seed=0)) == 3
+    assert {seed for _, seed in log.runs} == {0, 1}
+    assert len(log.runs["meta", 0]) == 3
 
 
 def test_metrics_csv_round_trip_preserves_floats(tmp_path):
@@ -164,8 +164,8 @@ def test_metrics_csv_round_trip_preserves_floats(tmp_path):
         "meta_seed0.csv", "meta_seed1.csv", "scratch_seed0.csv", "scratch_seed1.csv",
     ]
     back = MetricsLog.read_csvs(tmp_path)
-    want = [(r["method"], r["seed"], r["episode"], r["return"]) for r in log.records]
-    got = [(r["method"], r["seed"], r["episode"], r["return"]) for r in back.records]
+    want = [(m, s, row[0], row[1]) for (m, s), rows in log.runs.items() for row in rows]
+    got = [(m, s, row[0], row[1]) for (m, s), rows in back.runs.items() for row in rows]
     assert sorted(got) == sorted(want)  # repr round-trips doubles exactly
 
 
@@ -178,7 +178,7 @@ def test_read_csvs_reads_only_method_csvs(tmp_path):
     (tmp_path / "meta_model_seed0.npz").write_bytes(b"")
     back = MetricsLog.read_csvs(tmp_path)
     assert back.methods() == ["meta", "scratch"]
-    assert len(back.records) == len(fake_log().records)
+    assert sum(map(len, back.runs.values())) == sum(map(len, fake_log().runs.values()))
 
 
 def test_read_csvs_missing_column_names_the_file(tmp_path):
@@ -262,6 +262,62 @@ def test_summarize_flags_single_seed():
     assert "single seed" in summarize(log)
 
 
+def pinned_log():
+    """Three methods on seeds 10 and 2, added in that order; tl's seed 10 has
+    4 shots and the others 6 or 7, so shot 7 has meta alone."""
+    log = MetricsLog()
+    rng = np.random.default_rng(19)
+    shots = {("meta", 10): 7, ("meta", 2): 7, ("scratch", 10): 6, ("scratch", 2): 6,
+             ("tl", 10): 4, ("tl", 2): 6}
+    base = {"meta": -2.0, "scratch": -3.5, "tl": -2.5}
+    for (method, seed), n in shots.items():
+        for shot in range(1, n + 1):
+            q = rng.uniform(1e5, 2e6, size=3)
+            log.add(method, 6, seed, shot, base[method] + 0.1 * shot + rng.normal(0, 0.3),
+                    float(q.mean()), float(q.min()), float(q.max()))
+    return log
+
+
+PINNED_REPORT = "\n".join((
+    "WARNING: no records for ['mtl']; partial report",
+    "",
+    "== Final mean discounted return (per method; per seed the mean of the last "
+    "min(5, shots) shots) ==",
+    "  meta        -1.470676 +- 0.032476",
+    "  scratch     -2.913128 +- 0.105077",
+    "  tl          -2.275476 +- 0.007921",
+    "",
+    "Relative gain of meta over best baseline (tl): 35.4%",
+    "(reported figure for the evaluation-scale setup in the source study: 19.8%)",
+    "",
+    "== Min-QoS five-number summary (bits/s) ==",
+    "  meta     min=1.701e+05 q1=3.637e+05 med=6.911e+05 q3=9.116e+05 max=9.775e+05",
+    "  scratch  min=1.293e+05 q1=2.125e+05 med=7.591e+05 q3=1.075e+06 max=1.599e+06",
+    "  tl       min=1.439e+05 q1=2.995e+05 med=4.784e+05 q3=5.387e+05 max=9.106e+05",
+    "",
+    "== Mean return per adaptation shot ==",
+    "  shot        meta     scratch          tl",
+    "     1     -2.1856     -3.6164     -2.5695",
+    "     2     -1.9617     -3.2144     -2.2940",
+    "     3     -1.5767     -3.0086     -2.3433",
+    "     4     -1.3158     -2.8380     -2.2995",
+    "     5     -1.2211     -2.9609     -1.7238",
+    "     6     -1.8801     -2.5439     -1.9666",
+    "     7     -1.3596" + " " * 24,
+))
+
+
+def test_summarize_prints_the_pinned_report(tmp_path):
+    log = pinned_log()
+    assert summarize(log) == PINNED_REPORT
+    written = log.write_csvs(tmp_path)
+    assert [p.name for p in written] == [
+        "meta_seed2.csv", "meta_seed10.csv", "scratch_seed2.csv", "scratch_seed10.csv",
+        "tl_seed2.csv", "tl_seed10.csv",
+    ]
+    assert summarize(MetricsLog.read_csvs(tmp_path)) == PINNED_REPORT
+
+
 # -- driver ------------------------------------------------------------------
 
 
@@ -275,7 +331,7 @@ def test_run_experiment_scratch_writes_csvs(tmp_path):
     log = run_experiment(cfg, mode="scratch")
     assert log.methods() == ["scratch"]
     # adapt budget = 10% of 10 outer iterations = 1 shot.
-    assert len(log.records) == 1
+    assert sum(map(len, log.runs.values())) == 1
     assert (tmp_path / "scratch_seed0.csv").exists()
 
 
@@ -299,4 +355,4 @@ def test_run_experiment_meta_writes_checkpoints(tmp_path):
     log = run_experiment(cfg, mode="meta")
     assert (tmp_path / "meta_model_seed0.npz").exists()
     assert (tmp_path / "meta_seed0.csv").exists()
-    assert [r["episode"] for r in log.records] == [1]
+    assert [row[0] for rows in log.runs.values() for row in rows] == [1]
