@@ -135,7 +135,7 @@ def main(argv=None) -> int:
                           derive_rng(seed, "cli-eval", "agent"))
         agent.load_vectors(model.actor_vec, model.critic_vec)
         env = TaskEnv(new_task, derive_rng(seed, "cli-eval", "env"))
-        ret = evaluate_policy(agent, env, args.episodes)["episode_return"]
+        ret, _ = evaluate_policy(agent, env, args.episodes)
         print(f"mean discounted return over {args.episodes} episodes: {ret:.6f}")
         return 0
 

@@ -259,7 +259,7 @@ def _check_finite(name: str, loss: float, grads: np.ndarray) -> None:
 
 def run_episode(agent: DdpgAgent, env, train: bool):
     """One episode of agent.hyper.horizon steps; returns (discounted return,
-    mean QoS stats dict).
+    episode-mean QoS vector (q_avg, q_min, q_max)).
 
     With train=True the agent explores, and once the buffer holds
     max(warmup_transitions, 2 * batch_size) transitions every step also
@@ -285,20 +285,15 @@ def run_episode(agent: DdpgAgent, env, train: bool):
         state = next_state
     if train:
         agent.decay_noise()
-    q_sums /= h.horizon
-    return total, {"q_avg": q_sums[0], "q_min": q_sums[1], "q_max": q_sums[2]}
+    return total, q_sums / h.horizon
 
 
-def evaluate_policy(agent: DdpgAgent, env, episodes: int) -> dict:
+def evaluate_policy(agent: DdpgAgent, env, episodes: int):
     """Greedy (noise-free) policy over `episodes` episodes of
-    agent.hyper.horizon steps: the mean discounted return as
-    "episode_return" plus the mean QoS stats."""
+    agent.hyper.horizon steps; returns (mean discounted return, mean QoS
+    vector (q_avg, q_min, q_max))."""
     if episodes < 1:
         raise ContractViolation("episodes must be >= 1")
-    rets, qoses = [], []
-    for _ in range(episodes):
-        ret, qos = run_episode(agent, env, train=False)
-        rets.append(ret)
-        qoses.append(qos)
-    mean_qos = {k: float(np.mean([q[k] for q in qoses])) for k in qoses[0]}
-    return {"episode_return": float(np.mean(rets)), **mean_qos}
+    rets, qoses = zip(*(run_episode(agent, env, train=False) for _ in range(episodes)))
+    # A 1-D mean per column: a mean over axis 0 can round differently.
+    return float(np.mean(rets)), np.array([np.mean(column) for column in zip(*qoses)])

@@ -337,7 +337,7 @@ class MetricsLog:
     def read_csvs(cls, out_dir) -> "MetricsLog":
         """The <method>_seed<k>.csv files of out_dir, one per method in METHODS
         and seed; a missing directory, a missing column or a cell that is not
-        a number raises ConfigurationError naming the directory or file."""
+        a finite number raises ConfigurationError naming the directory or file."""
         if not Path(out_dir).is_dir():
             raise ConfigurationError(f"{out_dir}: no such directory")
         log = cls()
@@ -353,8 +353,10 @@ class MetricsLog:
                 try:
                     for row in reader:
                         episode, *values = (row[c] for c in CSV_COLUMNS)
-                        log.add(match[1], None, int(match[2]), int(episode),
-                                *(float(v) for v in values))
+                        numbers = [float(v) for v in values]
+                        if not np.isfinite(numbers).all():
+                            raise ValueError(f"non-finite number in {values}")
+                        log.add(match[1], None, int(match[2]), int(episode), *numbers)
                 except (TypeError, ValueError) as exc:
                     raise ConfigurationError(
                         f"{path}, line {reader.line_num}: {exc}") from exc

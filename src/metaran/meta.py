@@ -211,8 +211,10 @@ def _shots(agent: DdpgAgent, envs: list, eval_env: TaskEnv) -> list:
     trace = []
     for shot, env in enumerate(envs, start=1):
         run_episode(agent, env, train=True)
-        evaluation = evaluate_policy(agent, eval_env, ADAPT_EVAL_EPISODES)
-        trace.append({"shot": shot, **evaluation})
+        ret, qos = evaluate_policy(agent, eval_env, ADAPT_EVAL_EPISODES)
+        q_avg, q_min, q_max = qos.tolist()  # floats, whose repr the CSVs write
+        trace.append({"shot": shot, "episode_return": ret,
+                      "q_avg": q_avg, "q_min": q_min, "q_max": q_max})
     return trace
 
 

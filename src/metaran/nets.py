@@ -275,8 +275,8 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint: (header, arrays), AdamStates rebuilt.
 
     Raises ConfigurationError naming the file unless it is a readable npz
-    archive that carries CHECKPOINT_VERSION; a missing file raises
-    FileNotFoundError.
+    archive with a JSON-object header that carries CHECKPOINT_VERSION and
+    whole optimizer states; a missing file raises FileNotFoundError.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -285,9 +285,11 @@ def load_checkpoint(path):
         with data:
             header = json.loads(str(data["header"])) if "header" in data.files else {}
             arrays = {k: data[k] for k in data.files if k != "header"}
+        if not isinstance(header, dict):
+            raise ValueError("a header that is not a JSON object")
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:  # truncated, empty, not npz
         raise ConfigurationError(
-            f"{path}: not a readable checkpoint ({type(exc).__name__})"
+            f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})"
         ) from exc
     version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
@@ -295,7 +297,12 @@ def load_checkpoint(path):
             f"{path}: checkpoint format version {version!r} is not supported "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    for name, scalars in header.pop("adam").items():
-        m, v = arrays.pop(f"{name}_m"), arrays.pop(f"{name}_v")
-        arrays[name] = AdamState(m, v, **scalars)
+    try:
+        for name, scalars in header.pop("adam").items():
+            m, v = arrays.pop(f"{name}_m"), arrays.pop(f"{name}_v")
+            arrays[name] = AdamState(m, v, **scalars)
+    except (KeyError, AttributeError, TypeError) as exc:
+        raise ConfigurationError(
+            f"{path}: malformed optimizer state ({type(exc).__name__}: {exc})"
+        ) from exc
     return header, arrays

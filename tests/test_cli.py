@@ -85,7 +85,7 @@ def _eval_line(config_path, ckpt, capsys):
 def _greedy_line(agent, cfg):
     """What eval prints for an agent with these parameters."""
     env = TaskEnv(cfg.new_task_spec(), derive_rng(0, "cli-eval", "env"))
-    ret = evaluate_policy(agent, env, 2)["episode_return"]
+    ret, _ = evaluate_policy(agent, env, 2)
     return f"mean discounted return over 2 episodes: {ret:.6f}"
 
 

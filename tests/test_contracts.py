@@ -404,6 +404,33 @@ def test_loaders_reject_other_checkpoint_versions(tmp_path, save, load, edit):
         load(path)
 
 
+def _no_adam_header(header, arrays):
+    del header["adam"]
+    return header
+
+
+def _no_adam_arrays(header, arrays):
+    del arrays["actor_opt_m"], arrays["actor_opt_v"]
+    return header
+
+
+def _list_header(header, arrays):
+    return [header]
+
+
+@pytest.mark.parametrize("edit", [_no_adam_header, _no_adam_arrays, _list_header])
+def test_loaders_reject_malformed_checkpoints(tmp_path, edit):
+    # Version-2 files whose optimizer states or header are not whole.
+    path = tmp_path / "ckpt.npz"
+    _meta_checkpoint(path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = edit(json.loads(str(arrays.pop("header"))), arrays)
+    np.savez(path, header=json.dumps(header), **arrays)
+    with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+        meta.load_meta_model(path)
+
+
 def test_meta_checkpoint_with_layer_sizes_still_loads(tmp_path):
     # Version-2 meta checkpoints written before the sizes were dropped carry
     # actor_sizes and critic_sizes in the header.

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from metaran import nets
+from metaran import harness, nets
 from metaran.ddpg import (
     Batch,
     DdpgAgent,
@@ -16,7 +16,9 @@ from metaran.ddpg import (
     run_episode,
     sample_batch,
 )
+from metaran.episode import TaskEnv
 from metaran.errors import ConfigurationError, ContractViolation, TrainingDivergence
+from metaran.meta import task_dims
 
 
 def tiny_hyper(**kw):
@@ -349,18 +351,37 @@ def test_run_episode_return_and_qos_bookkeeping():
     env = ConstantRewardEnv(3)
     ret, qos = run_episode(agent, env, train=False)
     assert np.isclose(ret, 1 + 0.9 + 0.81)
-    assert qos == {"q_avg": 2.0, "q_min": 1.0, "q_max": 3.0}
-    assert list(qos) == ["q_avg", "q_min", "q_max"]
+    assert qos.tolist() == [2.0, 1.0, 3.0]  # (q_avg, q_min, q_max), in that order
 
 
 def test_evaluate_policy_constant_reward():
     agent = make_agent(gamma=0.99, horizon=3)
     env = ConstantRewardEnv(3)
-    got = evaluate_policy(agent, env, episodes=4)
-    assert np.isclose(got["episode_return"], 2.9701)
-    assert (got["q_avg"], got["q_min"], got["q_max"]) == (2.0, 1.0, 3.0)
+    ret, qos = evaluate_policy(agent, env, episodes=4)
+    assert np.isclose(ret, 2.9701)
+    assert tuple(qos) == (2.0, 1.0, 3.0)
     with pytest.raises(ContractViolation):
         evaluate_policy(agent, env, episodes=0)
+
+
+@pytest.mark.parametrize("episodes", range(1, 11))
+def test_evaluate_policy_means_are_the_per_key_episode_means(episodes):
+    # From 8 episodes on, a mean over axis 0 of the stacked QoS vectors can
+    # round differently from the 1-D mean of each key's values.
+    cfg = harness.default_config("toy")
+    task = cfg.donor_task_specs()[0]
+
+    def agent_and_env():
+        agent = DdpgAgent(*task_dims(task), cfg.hyper(), np.random.default_rng(3))
+        return agent, TaskEnv(task, np.random.default_rng(4))
+
+    agent, env = agent_and_env()
+    rets, qoses = zip(*(run_episode(agent, env, train=False) for _ in range(episodes)))
+    ret, qos = evaluate_policy(*agent_and_env(), episodes)
+    assert ret == float(np.mean(np.array(rets)))
+    assert isinstance(ret, float)
+    for key in range(3):
+        assert qos[key] == np.mean(np.array([q[key] for q in qoses]))
 
 
 def test_training_episode_updates_once_buffer_is_ready():

@@ -197,6 +197,18 @@ def test_read_csvs_non_numeric_cell_names_the_file(tmp_path):
         MetricsLog.read_csvs(tmp_path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_read_csvs_non_finite_cell_names_the_file(tmp_path, cell):
+    # float() parses these, and summarize would print "nan +- nan".
+    fake_log().write_csvs(tmp_path)
+    path = tmp_path / "meta_seed0.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace(lines[2].split(",")[1], cell, 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=rf"meta_seed0\.csv, line 3: .*'{cell}'"):
+        MetricsLog.read_csvs(tmp_path)
+
+
 # -- analysis ----------------------------------------------------------------
 
 
