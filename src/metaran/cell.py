@@ -43,20 +43,20 @@ class CellConfig:
     p_min: float = dbm_to_mw(3.0)
     p_max: float = dbm_to_mw(6.0)
     path_loss_exp: float = 3.0
-    noise_psd: float = -173.0  # dBm/Hz
-    cell_radius: float = 500.0
+    noise_psd_dbm_hz: float = -173.0
+    cell_radius_m: float = 500.0
     num_neighbors: int = 2
     neighbor_occupancy: float = 0.5
 
     def __post_init__(self):
-        for name in ("num_rbs", "num_ues", "rb_bandwidth", "path_loss_exp", "cell_radius"):
+        for name in ("num_rbs", "num_ues", "rb_bandwidth", "path_loss_exp", "cell_radius_m"):
             if not getattr(self, name) > 0:  # NaN too
                 raise ConfigurationError(f"{name} must be positive")
         with np.errstate(all="ignore"):  # a non-finite power is rejected here, not warned about
             if not 0 < self.noise_rb_mw < np.inf:
                 raise ConfigurationError(
-                    f"noise_psd {self.noise_psd} dBm/Hz gives a per-RB noise power of "
-                    f"{self.noise_rb_mw} mW; it must be finite and positive")
+                    f"noise_psd_dbm_hz {self.noise_psd_dbm_hz} gives a per-RB noise power "
+                    f"of {self.noise_rb_mw} mW; it must be finite and positive")
         if not (0 < self.p_min <= self.p_max):
             raise ConfigurationError("need 0 < p_min <= p_max")
         if not (0.0 <= self.neighbor_occupancy <= 1.0):
@@ -67,7 +67,7 @@ class CellConfig:
     @cached_property
     def noise_rb_mw(self) -> float:
         """Noise power per RB in mW (PSD in dBm/Hz integrated over the RB)."""
-        return 10.0 ** ((self.noise_psd + 10.0 * np.log10(self.rb_bandwidth)) / 10.0)
+        return 10.0 ** ((self.noise_psd_dbm_hz + 10.0 * np.log10(self.rb_bandwidth)) / 10.0)
 
     def neighbor_positions(self) -> np.ndarray:
         """(M, 2) positions of interfering RUs, evenly spread on a ring."""
@@ -110,7 +110,7 @@ class ChannelRealization:
 def reset(config: CellConfig, rng: np.random.Generator) -> EnvSnapshot:
     """Place UEs uniformly in the cell disc with fresh speeds/headings/traffic."""
     n = config.num_ues
-    radii = config.cell_radius * np.sqrt(rng.uniform(size=n))
+    radii = config.cell_radius_m * np.sqrt(rng.uniform(size=n))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     positions = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
     speeds = rng.uniform(SPEED_MIN, SPEED_MAX, size=n)
@@ -136,11 +136,11 @@ def step_mobility(s: EnvSnapshot, config: CellConfig, rng: np.random.Generator) 
     x = np.add(s.ue_positions[:, 0], speeds * np.cos(directions), out=pos[:, 0])
     y = np.add(s.ue_positions[:, 1], speeds * np.sin(directions), out=pos[:, 1])
     dist = np.sqrt(x * x + y * y)  # bitwise norm(pos, axis=1)
-    out = (dist > config.cell_radius).nonzero()[0]
+    out = (dist > config.cell_radius_m).nonzero()[0]
     if out.size:
         # Mirror across the circle: new radius = 2R - r, same bearing.
         d = dist[out]
-        pos[out] *= ((2.0 * config.cell_radius - d) / d)[:, None]
+        pos[out] *= ((2.0 * config.cell_radius_m - d) / d)[:, None]
         directions = directions.copy()
         speeds = speeds.copy()
         # The same draws as rng.choice(DIRECTIONS, size=...), without its overhead.

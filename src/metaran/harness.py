@@ -90,6 +90,9 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigurationError("seeds: at least one seed is required")
+        # derive_rng keys its streams on a seed's low 32 bits, so 2**32 would run seed 0.
+        if outside := [seed for seed in self.seeds if not 0 <= seed < 2**32]:
+            raise ConfigurationError(f"seeds: each seed must be in [0, 2**32), got {outside}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds: each seed may appear once, got {list(self.seeds)}")
         if not self.tasks:
@@ -141,19 +144,9 @@ class ExperimentConfig:
     # -- derived objects ---------------------------------------------------
 
     def cell_config(self, num_rbs: int) -> CellConfig:
-        c = self.cell
-        return CellConfig(
-            num_rbs=num_rbs,
-            num_ues=c.num_ues,
-            rb_bandwidth=c.rb_bandwidth,
-            p_min=dbm_to_mw(c.p_min_dbm),
-            p_max=dbm_to_mw(c.p_max_dbm),
-            path_loss_exp=c.path_loss_exp,
-            noise_psd=c.noise_psd_dbm_hz,
-            cell_radius=c.cell_radius_m,
-            num_neighbors=c.num_neighbors,
-            neighbor_occupancy=c.neighbor_occupancy,
-        )
+        fields = dict(vars(self.cell))  # CellConfig's names, the powers in dBm
+        return CellConfig(num_rbs=num_rbs, p_min=dbm_to_mw(fields.pop("p_min_dbm")),
+                          p_max=dbm_to_mw(fields.pop("p_max_dbm")), **fields)
 
     def _task_spec(self, block: str, t: TaskBlock, task_id: int) -> TaskSpec:
         with _block(block):
@@ -393,6 +386,7 @@ def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
     log = MetricsLog()
 
     for seed in config.seeds:
+        seed_log = MetricsLog()
         for method in wanted:
             if method == "meta":
                 model = meta_mod.meta_train(donors, schedule, hyper, seed)
@@ -401,8 +395,9 @@ def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
             else:
                 _, trace = meta_mod.run_baseline(method, new_task, donors, schedule.adapt_budget,
                                                  hyper, seed, donor_budget=config.donor_budget)
-            _record_trace(log, method, seed, trace)
-        log.write_csvs(out)
+            _record_trace(seed_log, method, seed, trace)
+        seed_log.write_csvs(out)
+        log.runs.update(seed_log.runs)
     return log
 
 

@@ -195,8 +195,7 @@ def inner_adapt(meta: MetaModel, task: TaskSpec, budget: int, hyper: Hyper, seed
     traffic noise without touching the training trajectory).
     """
     agent, env = _task_agent(meta, task, hyper, seed, "adapt")
-    eval_env = TaskEnv(task, derive_rng(seed, "adapt", "eval-env", task.task_id))
-    return agent, _shots(agent, [env] * budget, eval_env)
+    return agent, _shots(agent, [env] * budget, task, seed)
 
 
 def _task_agent(meta: MetaModel, task: TaskSpec, hyper: Hyper, seed: int, stream: str):
@@ -206,8 +205,11 @@ def _task_agent(meta: MetaModel, task: TaskSpec, hyper: Hyper, seed: int, stream
     return agent, TaskEnv(task, derive_rng(seed, stream, "env", task.task_id))
 
 
-def _shots(agent: DdpgAgent, envs: list, eval_env: TaskEnv) -> list:
-    """Per env in turn, one training episode and then a greedy evaluation."""
+def _shots(agent: DdpgAgent, envs: list, task: TaskSpec, seed: int) -> list:
+    """Per env in turn, one training episode and then a greedy evaluation on
+    the task. Every method is evaluated on this one env stream of the task, so
+    all are scored on the same draws."""
+    eval_env = TaskEnv(task, derive_rng(seed, "adapt", "eval-env", task.task_id))
     trace = []
     for shot, env in enumerate(envs, start=1):
         run_episode(agent, env, train=True)
@@ -277,9 +279,8 @@ def run_baseline(
         agent = DdpgAgent(*task_dims(new_task), hyper, derive_rng(seed, "mtl", "agent"))
         donor_env = TaskEnv(donor, derive_rng(seed, "mtl", "donor-env"))
         new_env = TaskEnv(new_task, derive_rng(seed, "mtl", "new-env"))
-        eval_env = TaskEnv(new_task, derive_rng(seed, "mtl", "eval-env"))
         envs = [new_env if which == "new" else donor_env for which in mtl_schedule(budget)]
-        return agent, _shots(agent, envs, eval_env)
+        return agent, _shots(agent, envs, new_task, seed)
 
     raise ConfigurationError(f"unknown baseline kind {kind!r}")
 

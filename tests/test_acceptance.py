@@ -68,7 +68,7 @@ def test_rates_match_scalar_oracle_on_100_instances():
             num_rbs=int(rng.integers(1, 9)),
             num_ues=int(rng.integers(1, 6)),
             num_neighbors=int(rng.integers(0, 4)),
-            cell_radius=float(rng.uniform(50, 500)),
+            cell_radius_m=float(rng.uniform(50, 500)),
             neighbor_occupancy=float(rng.uniform(0, 1)),
         )
         snap = cell.reset(cfg, rng)
@@ -112,7 +112,7 @@ def test_decoded_allocations_always_feasible():
     start = time.perf_counter()
     rng = np.random.default_rng(11)
     configs = [
-        CellConfig(num_rbs=k, num_ues=n, cell_radius=100.0)
+        CellConfig(num_rbs=k, num_ues=n, cell_radius_m=100.0)
         for k, n in ((4, 1), (8, 3), (12, 5), (60, 30))
     ]
     for cfg in configs:
@@ -143,7 +143,7 @@ def _fake_qos(task, min_rate, active_any):
 
 def test_reward_contract():
     start = time.perf_counter()
-    cfg = CellConfig(num_rbs=8, num_ues=3, cell_radius=100.0)
+    cfg = CellConfig(num_rbs=8, num_ues=3, cell_radius_m=100.0)
     task = TaskSpec(demand_min=1e6, demand_max=10e6, cell_config=cfg)
     rng = np.random.default_rng(3)
 
@@ -224,7 +224,7 @@ def test_toy_profile_runs_are_byte_identical(tmp_path):
 @pytest.mark.slow
 def test_ddpg_learns_on_stationary_single_ue_task():
     start = time.perf_counter()
-    cfg = CellConfig(num_rbs=4, num_ues=1, cell_radius=60.0, num_neighbors=0)
+    cfg = CellConfig(num_rbs=4, num_ues=1, cell_radius_m=60.0, num_neighbors=0)
     task = TaskSpec(demand_min=15e6, demand_max=25e6, cell_config=cfg)
     hyper = Hyper(
         gamma=0.9, lr=2e-4, batch_size=64, buffer_capacity=10_000,
@@ -294,7 +294,7 @@ def test_meta_adaptation_beats_scratch_on_toy_profile():
 
 
 def _tiny_meta_setup():
-    cfg = CellConfig(num_rbs=4, num_ues=2, num_neighbors=1, cell_radius=100.0)
+    cfg = CellConfig(num_rbs=4, num_ues=2, num_neighbors=1, cell_radius_m=100.0)
     task = TaskSpec(demand_min=1e5, demand_max=1e6, cell_config=cfg, task_id=0)
     hyper = Hyper(
         gamma=0.9, lr=1e-3, batch_size=8, buffer_capacity=256,

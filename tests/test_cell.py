@@ -13,7 +13,7 @@ from metaran.mdp import TaskSpec, decode_action, qos_stats, zero_allocation
 
 
 def small_config(**kw):
-    defaults = dict(num_rbs=4, num_ues=3, num_neighbors=2, cell_radius=100.0)
+    defaults = dict(num_rbs=4, num_ues=3, num_neighbors=2, cell_radius_m=100.0)
     defaults.update(kw)
     return CellConfig(**defaults)
 
@@ -28,8 +28,8 @@ def test_default_config_matches_reference_values():
     assert c.rb_bandwidth == 200e3
     assert np.isclose(c.p_min, dbm_to_mw(3.0))
     assert np.isclose(c.p_max, dbm_to_mw(6.0))
-    assert c.noise_psd == -173.0
-    assert c.cell_radius == 500.0
+    assert c.noise_psd_dbm_hz == -173.0
+    assert c.cell_radius_m == 500.0
 
 
 def test_power_conversions_round_trip():
@@ -50,7 +50,7 @@ def test_noise_power_per_rb_matches_hand_formula():
     [
         dict(num_rbs=0),
         dict(num_ues=0),
-        dict(cell_radius=0.0),
+        dict(cell_radius_m=0.0),
         dict(p_min=0.0),
         dict(p_min=5.0, p_max=4.0),
         dict(path_loss_exp=0.0),
@@ -59,10 +59,10 @@ def test_noise_power_per_rb_matches_hand_formula():
         dict(num_neighbors=-1),
         dict(rb_bandwidth=float("nan")),
         dict(path_loss_exp=float("nan")),
-        dict(cell_radius=float("nan")),
-        dict(noise_psd=float("nan")),
-        dict(noise_psd=4000.0),  # the per-RB noise power overflows to inf
-        dict(noise_psd=-4000.0),  # and here underflows to 0
+        dict(cell_radius_m=float("nan")),
+        dict(noise_psd_dbm_hz=float("nan")),
+        dict(noise_psd_dbm_hz=4000.0),  # the per-RB noise power overflows to inf
+        dict(noise_psd_dbm_hz=-4000.0),  # and here underflows to 0
     ],
 )
 def test_invalid_configs_rejected(kw):
@@ -84,7 +84,7 @@ def test_reset_places_ues_in_disc_with_valid_attributes():
     c = small_config(num_ues=50)
     s = cell.reset(c, np.random.default_rng(7))
     assert s.ue_positions.shape == (50, 2)
-    assert (np.linalg.norm(s.ue_positions, axis=1) <= c.cell_radius).all()
+    assert (np.linalg.norm(s.ue_positions, axis=1) <= c.cell_radius_m).all()
     assert ((s.ue_speeds >= cell.SPEED_MIN) & (s.ue_speeds <= cell.SPEED_MAX)).all()
     assert np.isin(s.ue_directions, cell.DIRECTIONS).all()
     assert ((s.traffic_levels >= 0) & (s.traffic_levels < 4)).all()
@@ -110,7 +110,7 @@ def test_active_mask_excludes_idle():
 
 
 def test_straight_line_motion():
-    c = small_config(cell_radius=1000.0)
+    c = small_config(cell_radius_m=1000.0)
     s = cell.reset(c, np.random.default_rng(0))
     s = cell.EnvSnapshot(
         ue_positions=np.zeros((3, 2)),
@@ -124,12 +124,12 @@ def test_straight_line_motion():
 
 
 def test_positions_stay_inside_disc_for_long_rollouts():
-    c = small_config(cell_radius=50.0, num_ues=8)
+    c = small_config(cell_radius_m=50.0, num_ues=8)
     rng = np.random.default_rng(11)
     s = cell.reset(c, np.random.default_rng(11))
     for _ in range(1000):
         s = cell.step_mobility(s, c, rng)
-        assert (np.linalg.norm(s.ue_positions, axis=1) <= c.cell_radius + 1e-9).all()
+        assert (np.linalg.norm(s.ue_positions, axis=1) <= c.cell_radius_m + 1e-9).all()
 
 
 MOBILITY_FOUND = (
@@ -153,9 +153,9 @@ def test_mobility_keeps_ues_spread_over_the_disc(profile):
             s = cell.reset(c, rng)
             for _ in range(horizon):  # one episode
                 s = cell.step_mobility(s, c, rng)
-                r = np.linalg.norm(s.ue_positions, axis=1) / c.cell_radius
+                r = np.linalg.norm(s.ue_positions, axis=1) / c.cell_radius_m
                 beyond += int((r > 0.9).sum())
-                mean_x += float((s.ue_positions[:, 0] / c.cell_radius).sum())
+                mean_x += float((s.ue_positions[:, 0] / c.cell_radius_m).sum())
                 samples += c.num_ues
     assert 0.12 <= beyond / samples <= 0.30
     assert abs(mean_x / samples) <= 0.1
@@ -257,8 +257,8 @@ def _rate_inputs(draw):
         p_min=p_min,
         p_max=p_min * draw(st.floats(1.0, 1e6)),
         path_loss_exp=draw(st.floats(0.5, 8.0)),
-        noise_psd=draw(st.floats(-250.0, -100.0)),
-        cell_radius=draw(st.floats(1.0, 1e5)),
+        noise_psd_dbm_hz=draw(st.floats(-250.0, -100.0)),
+        cell_radius_m=draw(st.floats(1.0, 1e5)),
         num_neighbors=draw(st.integers(0, 4)),
         neighbor_occupancy=draw(st.floats(0.0, 1.0)),
     )
@@ -289,7 +289,7 @@ def test_rates_finite_nonnegative_and_zero_without_rbs(inputs):
 
 def test_unit_sinr_gives_bandwidth_rate():
     # One UE, one RB, no interference, SINR forced to 1 => rate = B*log2(2) = B.
-    c = CellConfig(num_rbs=1, num_ues=1, num_neighbors=0, cell_radius=100.0)
+    c = CellConfig(num_rbs=1, num_ues=1, num_neighbors=0, cell_radius_m=100.0)
     s = cell.EnvSnapshot(
         ue_positions=np.array([[10.0, 0.0]]),
         ue_speeds=np.array([10.0]),

@@ -46,7 +46,7 @@ def test_every_traced_span_resolves_on_the_package():
     # the tracer's wrapper passes through with exactly three positional
     # arguments, once per outer iteration.
     assert "on_outer_start" in inspect.signature(meta.meta_train).parameters
-    cfg = CellConfig(num_rbs=4, num_ues=2, num_neighbors=1, cell_radius=100.0)
+    cfg = CellConfig(num_rbs=4, num_ues=2, num_neighbors=1, cell_radius_m=100.0)
     tasks = [mdp.TaskSpec(1e5, 1e6, cfg, task_id) for task_id in (0, 1)]
     hyper = ddpg.Hyper(batch_size=4, buffer_capacity=64, horizon=3, hidden_sizes=(4,))
     calls = []
@@ -188,7 +188,7 @@ def test_config_agent_block_is_checked_at_load(tmp_path, key, value):
         ("cell", "neighbor_occupancy", 2.0, "neighbor_occupancy"),
         ("cell", "path_loss_exp", -1.0, "path_loss_exp"),
         ("cell", "rb_bandwidth", 0.0, "rb_bandwidth"),
-        ("cell", "cell_radius_m", -5.0, "cell_radius"),  # CellConfig.cell_radius
+        ("cell", "cell_radius_m", -5.0, "cell_radius"),  # CellConfig.cell_radius_m
         ("cell", "p_min_dbm", 9.0, "p_min"),  # above p_max_dbm
         ("schedule", "outer_iters", 0, "outer_iters"),
         ("schedule", "meta_actor_lr", -1.0, "meta_actor_lr"),
@@ -280,6 +280,16 @@ def test_config_without_an_adaptation_episode_is_rejected_at_load(tmp_path):
 def test_config_with_a_repeated_seed_is_rejected_at_load(tmp_path):
     with pytest.raises(ConfigurationError, match="seeds: "):
         harness.load_config(_edited_config(tmp_path, None, "seeds", [0, 1, 0]))
+
+
+@pytest.mark.parametrize("seeds", [[0, 2**32], [-1]])
+def test_config_with_a_seed_outside_32_bits_is_rejected_at_load(tmp_path, seeds):
+    # Streams are keyed on a seed's low 32 bits: 2**32 would run seed 0 again,
+    # and -1 would run 2**32 - 1.
+    with pytest.raises(ConfigurationError, match=r"seeds: each seed must be in \[0, 2\*\*32\)"):
+        harness.load_config(_edited_config(tmp_path, None, "seeds", seeds))
+    cfg = harness.load_config(_edited_config(tmp_path, None, "seeds", [0, 2**32 - 1]))
+    assert cfg.seeds == (0, 2**32 - 1)
 
 
 @pytest.mark.parametrize("block", ["tasks", "new_task"])

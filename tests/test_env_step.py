@@ -27,7 +27,7 @@ from metaran.mdp import TaskSpec
 
 def ref_reset(config, rng):
     n = config.num_ues
-    radii = config.cell_radius * np.sqrt(rng.uniform(size=n))
+    radii = config.cell_radius_m * np.sqrt(rng.uniform(size=n))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     positions = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
     speeds = rng.uniform(SPEED_MIN, SPEED_MAX, size=n)
@@ -42,12 +42,12 @@ def ref_step_mobility(s, config, rng, crossings):
     )
     pos = s.ue_positions + step
     dist = np.linalg.norm(pos, axis=1)
-    out = dist > config.cell_radius
+    out = dist > config.cell_radius_m
     speeds = s.ue_speeds.copy()
     directions = s.ue_directions.copy()
     if np.any(out):
         crossings.append(int(out.sum()))
-        scale = (2.0 * config.cell_radius - dist[out]) / dist[out]
+        scale = (2.0 * config.cell_radius_m - dist[out]) / dist[out]
         pos[out] *= scale[:, None]
         directions[out] = rng.choice(DIRECTIONS, size=int(out.sum()))
         speeds[out] = rng.uniform(SPEED_MIN, SPEED_MAX, size=int(out.sum()))

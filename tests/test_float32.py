@@ -37,7 +37,7 @@ def hyper(dtype, **kw):
 
 
 def tiny_task(num_rbs, task_id):
-    cfg = CellConfig(num_rbs=num_rbs, num_ues=2, num_neighbors=1, cell_radius=100.0)
+    cfg = CellConfig(num_rbs=num_rbs, num_ues=2, num_neighbors=1, cell_radius_m=100.0)
     return TaskSpec(demand_min=1e5, demand_max=1e6, cell_config=cfg, task_id=task_id)
 
 

@@ -362,6 +362,21 @@ def test_run_experiment_keeps_the_csvs_of_seeds_before_a_failure(tmp_path, monke
     assert not (tmp_path / "scratch_seed1.csv").exists()
 
 
+def test_run_experiment_writes_each_seeds_csvs_once(tmp_path, monkeypatch):
+    written = []
+    write_csvs = MetricsLog.write_csvs
+
+    def recording(log, out_dir):
+        paths = write_csvs(log, out_dir)
+        written.extend(paths)
+        return paths
+
+    monkeypatch.setattr(MetricsLog, "write_csvs", recording)
+    log = run_experiment(small_config(tmp_path, seeds=(0, 1)), mode="scratch")
+    assert sorted(p.name for p in written) == ["scratch_seed0.csv", "scratch_seed1.csv"]
+    assert list(log.runs) == [("scratch", 0), ("scratch", 1)]
+
+
 def test_run_experiment_meta_writes_checkpoints(tmp_path):
     cfg = small_config(tmp_path)
     log = run_experiment(cfg, mode="meta")

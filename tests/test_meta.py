@@ -42,7 +42,7 @@ def tiny_hyper(**kw):
 
 def tiny_task(num_rbs=4, task_id=0):
     cfg = CellConfig(
-        num_rbs=num_rbs, num_ues=2, num_neighbors=1, cell_radius=100.0
+        num_rbs=num_rbs, num_ues=2, num_neighbors=1, cell_radius_m=100.0
     )
     return TaskSpec(demand_min=1e5, demand_max=1e6, cell_config=cfg, task_id=task_id)
 
@@ -433,6 +433,27 @@ def test_tl_pretrains_without_evaluations(monkeypatch):
     assert {env.task.task_id for env in calls} == {2}
 
 
+def test_every_method_is_scored_on_one_evaluation_world(monkeypatch):
+    # Paired evaluation: each method's first greedy evaluation starts from the
+    # same env stream state, so the methods are scored on the same draws.
+    states = {}
+    evaluate = meta_mod.evaluate_policy
+    method = None
+
+    def recording(agent, env, *args):
+        states.setdefault(method, repr(env.rng.bit_generator.state))
+        return evaluate(agent, env, *args)
+
+    monkeypatch.setattr(meta_mod, "evaluate_policy", recording)
+    h, new, donors = tiny_hyper(), tiny_task(4, task_id=2), [tiny_task(6, 0)]
+    method = "meta"
+    inner_adapt(init_meta_model(*task_dims(new), h, seed=9), new, 2, h, seed=5)
+    for method in ("scratch", "tl", "mtl"):
+        run_baseline(method, new, donors, 2, h, seed=5, donor_budget=1)
+    assert list(states) == ["meta", "scratch", "tl", "mtl"]
+    assert len(set(states.values())) == 1
+
+
 def test_tl_equals_pretraining_through_inner_adapt():
     # Reference: the donor trained as inner_adapt trains, on the tl-donor
     # streams with a greedy evaluation after every shot (the evaluations draw
@@ -441,8 +462,7 @@ def test_tl_equals_pretraining_through_inner_adapt():
     new, donor = tiny_task(4, task_id=2), tiny_task(6, 0)
     init = random_init_model(donor, h, seed=3)
     donor_agent, env = meta_mod._task_agent(init, donor, h, 3, "tl-donor")
-    eval_env = TaskEnv(donor, derive_rng(3, "tl-donor", "eval-env", donor.task_id))
-    meta_mod._shots(donor_agent, [env] * 5, eval_env)
+    meta_mod._shots(donor_agent, [env] * 5, donor, 3)
     donor_model = replace(init, actor_vec=donor_agent.actor.flat,
                           critic_vec=donor_agent.critic.flat)
     ref_agent, ref_trace = inner_adapt(donor_model, new, 2, h, seed=3)
