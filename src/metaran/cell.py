@@ -49,9 +49,13 @@ class CellConfig:
     neighbor_occupancy: float = 0.5
 
     def __post_init__(self):
-        for name in ("num_rbs", "num_ues", "rb_bandwidth", "path_loss_exp", "cell_radius_m"):
+        for name in ("num_rbs", "num_ues", "rb_bandwidth", "path_loss_exp"):
             if not getattr(self, name) > 0:  # NaN too
                 raise ConfigurationError(f"{name} must be positive")
+        # step_mobility mirrors a UE at distance d back to 2R - d, which lies in
+        # the disc only while d <= 3R; a step moves a UE under SPEED_MAX.
+        if not self.cell_radius_m >= SPEED_MAX / 2:
+            raise ConfigurationError(f"cell_radius_m must be >= {SPEED_MAX / 2} m")
         with np.errstate(all="ignore"):  # a non-finite power is rejected here, not warned about
             if not 0 < self.noise_rb_mw < np.inf:
                 raise ConfigurationError(

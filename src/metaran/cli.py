@@ -11,13 +11,11 @@ import sys
 from pathlib import Path
 
 from . import meta as meta_mod
-from .ddpg import DdpgAgent, evaluate_policy, layer_sizes
-from .episode import TaskEnv
+from .ddpg import evaluate_policy, layer_sizes
 from .errors import ConfigurationError
-from .harness import METHODS, MetricsLog, _record_trace, default_config, load_config
-from .harness import final_return, run_experiment, summarize
+from .harness import METHODS, MetricsLog, default_config, final_return, load_config
+from .harness import run_experiment, summarize
 from .nets import num_params
-from .seeding import derive_rng
 
 
 def _resolve_config(args):
@@ -44,16 +42,6 @@ def _load_model(path, new_task, hyper) -> meta_mod.MetaModel:
         if getattr(model, name).shape != (num_params(layers),):
             raise ConfigurationError(f"{path}: {name} does not fit the config's networks")
     return model
-
-
-def _positive_int(text) -> int:
-    """An argparse type: an integer of at least 1."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def _add_common(parser):
@@ -88,12 +76,14 @@ def main(argv=None) -> int:
     p = sub.add_parser("eval", help="evaluate a model checkpoint greedily on the new task")
     _add_common(p)
     p.add_argument("--checkpoint", metavar="PATH", required=True, help="model .npz")
-    p.add_argument("--episodes", type=_positive_int, default=5)
+    p.add_argument("--episodes", type=int, default=5)
 
     p = sub.add_parser("summarize", help="summarize metric CSVs in a directory")
     p.add_argument("--out", metavar="DIR", required=True)
 
     args = parser.parse_args(argv)
+    if args.command == "eval" and args.episodes < 1:
+        parser.error(f"argument --episodes: must be an integer >= 1, got {args.episodes}")
 
     if args.command == "summarize":
         log = MetricsLog.read_csvs(args.out)
@@ -120,26 +110,21 @@ def main(argv=None) -> int:
             meta_mod.save_meta_model(out / f"adapted_agent_seed{seed}.npz",
                                      meta_mod.agent_model(agent))
             log = MetricsLog()
-            _record_trace(log, "meta", seed, trace)
+            log.add_trace("meta", seed, trace)
             log.write_csvs(out)
             final = final_return([e["episode_return"] for e in trace])
             print(f"seed {seed}: final return {final:.4f}")
         return 0
 
-    if args.command == "eval":
-        new_task = config.new_task_spec()
-        hyper = config.hyper()
-        seed = config.seeds[0]
-        model = _load_model(args.checkpoint, new_task, hyper)
-        agent = DdpgAgent(*meta_mod.task_dims(new_task), hyper,
-                          derive_rng(seed, "cli-eval", "agent"))
-        agent.load_vectors(model.actor_vec, model.critic_vec)
-        env = TaskEnv(new_task, derive_rng(seed, "cli-eval", "env"))
-        ret, _ = evaluate_policy(agent, env, args.episodes)
-        print(f"mean discounted return over {args.episodes} episodes: {ret:.6f}")
-        return 0
-
-    return 1
+    # eval: the agent at the model's parameters, on the methods' evaluation world
+    new_task = config.new_task_spec()
+    hyper = config.hyper()
+    seed = config.seeds[0]
+    model = _load_model(args.checkpoint, new_task, hyper)
+    agent, _ = meta_mod.inner_adapt(model, new_task, 0, hyper, seed)
+    ret, _ = evaluate_policy(agent, meta_mod.eval_env(new_task, seed), args.episodes)
+    print(f"mean discounted return over {args.episodes} episodes: {ret:.6f}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ class Hyper:
         for name in ("batch_size", "horizon"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
-        for name in ("actor_lr", "noise_std", "noise_floor"):
+        for name in ("actor_lr", "noise_std", "noise_floor", "warmup_transitions"):
             if not getattr(self, name) >= 0:  # NaN too
                 raise ConfigurationError(f"{name} must be >= 0")
         if not self.lr > 0:

@@ -29,7 +29,7 @@ METHODS = ("meta", "scratch", "tl", "mtl")  # meta, then the baselines
 FINAL_SHOTS = 5
 CSV_COLUMNS = ("episode", "return", "q_avg", "q_min", "q_max")
 # A method CSV in a run directory, as write_csvs names it; other files are not read.
-METHOD_CSV = re.compile(rf"({'|'.join(METHODS)})_seed(-?\d+)\.csv")
+METHOD_CSV = re.compile(rf"({'|'.join(METHODS)})_seed(\d+)\.csv")
 
 
 # -- configuration ---------------------------------------------------------
@@ -305,6 +305,12 @@ class MetricsLog:
         """task_id is taken and not stored: no reader needs it."""
         self.runs.setdefault((method, seed), []).append((episode, ret, q_avg, q_min, q_max))
 
+    def add_trace(self, method, seed, trace):
+        """One row per shot of an adaptation trace (meta.inner_adapt's form)."""
+        for e in trace:
+            self.add(method, None, seed, e["shot"], e["episode_return"],
+                     e["q_avg"], e["q_min"], e["q_max"])
+
     def methods(self) -> list:
         return list(dict.fromkeys(method for method, _ in self.runs))
 
@@ -359,12 +365,6 @@ class MetricsLog:
 # -- experiment driver -----------------------------------------------------
 
 
-def _record_trace(log, method, seed, trace):
-    for e in trace:
-        log.add(method, None, seed, e["shot"], e["episode_return"],
-                e["q_avg"], e["q_min"], e["q_max"])
-
-
 def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
     """Run meta-training/adaptation and/or baselines for every seed.
 
@@ -395,7 +395,7 @@ def run_experiment(config: ExperimentConfig, mode: str = "all") -> MetricsLog:
             else:
                 _, trace = meta_mod.run_baseline(method, new_task, donors, schedule.adapt_budget,
                                                  hyper, seed, donor_budget=config.donor_budget)
-            _record_trace(seed_log, method, seed, trace)
+            seed_log.add_trace(method, seed, trace)
         seed_log.write_csvs(out)
         log.runs.update(seed_log.runs)
     return log

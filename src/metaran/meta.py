@@ -205,15 +205,20 @@ def _task_agent(meta: MetaModel, task: TaskSpec, hyper: Hyper, seed: int, stream
     return agent, TaskEnv(task, derive_rng(seed, stream, "env", task.task_id))
 
 
+def eval_env(task: TaskSpec, seed: int) -> TaskEnv:
+    """The task's one evaluation world: every method's greedy evaluations and
+    the CLI's eval run on this env stream, so all are scored on the same draws."""
+    return TaskEnv(task, derive_rng(seed, "adapt", "eval-env", task.task_id))
+
+
 def _shots(agent: DdpgAgent, envs: list, task: TaskSpec, seed: int) -> list:
     """Per env in turn, one training episode and then a greedy evaluation on
-    the task. Every method is evaluated on this one env stream of the task, so
-    all are scored on the same draws."""
-    eval_env = TaskEnv(task, derive_rng(seed, "adapt", "eval-env", task.task_id))
+    the task's evaluation world."""
+    world = eval_env(task, seed)
     trace = []
     for shot, env in enumerate(envs, start=1):
         run_episode(agent, env, train=True)
-        ret, qos = evaluate_policy(agent, eval_env, ADAPT_EVAL_EPISODES)
+        ret, qos = evaluate_policy(agent, world, ADAPT_EVAL_EPISODES)
         q_avg, q_min, q_max = qos.tolist()  # floats, whose repr the CSVs write
         trace.append({"shot": shot, "episode_return": ret,
                       "q_avg": q_avg, "q_min": q_min, "q_max": q_max})

@@ -258,26 +258,18 @@ def test_ddpg_learns_on_stationary_single_ue_task():
 
 
 @pytest.mark.slow
-def test_meta_adaptation_beats_scratch_on_toy_profile():
+def test_meta_adaptation_beats_scratch_on_toy_profile(tmp_path):
     start = time.perf_counter()
-    cfg = harness.default_config("toy")
-    donors = cfg.donor_task_specs()
-    new_task = cfg.new_task_spec()
-    schedule = cfg.meta_schedule()
-    hyper = cfg.hyper()
-    budget = schedule.adapt_budget
-    assert budget == 20  # 10% of the toy profile's outer iterations
+    cfg = dataclasses.replace(harness.default_config("toy"), out_dir=str(tmp_path))
+    assert cfg.meta_schedule().adapt_budget == 20  # 10% of the toy profile's outer iterations
+    runs = {**harness.run_experiment(cfg, mode="meta").runs,
+            **harness.run_experiment(cfg, mode="scratch").runs}
 
     wins = 0
     gains = []
     for seed in cfg.seeds:
-        model = meta.meta_train(donors, schedule, hyper, seed)
-        _, meta_trace = meta.meta_adapt_new(model, new_task, schedule, hyper, seed)
-        _, scratch_trace = meta.run_baseline(
-            "scratch", new_task, donors, budget, hyper, seed
-        )
-        m = float(np.mean([e["episode_return"] for e in meta_trace[-5:]]))
-        s = float(np.mean([e["episode_return"] for e in scratch_trace[-5:]]))
+        m, s = (harness.final_return([row[1] for row in runs[method, seed]])
+                for method in ("meta", "scratch"))
         wins += m >= s
         gains.append(harness.relative_gain(m, s))
         print(f"meta-vs-scratch seed {seed}: meta {m:.3f} scratch {s:.3f} "

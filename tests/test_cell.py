@@ -63,6 +63,7 @@ def test_noise_power_per_rb_matches_hand_formula():
         dict(noise_psd_dbm_hz=float("nan")),
         dict(noise_psd_dbm_hz=4000.0),  # the per-RB noise power overflows to inf
         dict(noise_psd_dbm_hz=-4000.0),  # and here underflows to 0
+        dict(cell_radius_m=5.0),  # below SPEED_MAX / 2: the edge mirror can leave the disc
     ],
 )
 def test_invalid_configs_rejected(kw):
@@ -124,12 +125,15 @@ def test_straight_line_motion():
 
 
 def test_positions_stay_inside_disc_for_long_rollouts():
-    c = small_config(cell_radius_m=50.0, num_ues=8)
-    rng = np.random.default_rng(11)
-    s = cell.reset(c, np.random.default_rng(11))
-    for _ in range(1000):
-        s = cell.step_mobility(s, c, rng)
-        assert (np.linalg.norm(s.ue_positions, axis=1) <= c.cell_radius_m + 1e-9).all()
+    # 10 m is the smallest radius CellConfig accepts: a UE then ends a step
+    # under 3R out, the farthest the edge mirror brings back inside.
+    for radius in (10.0, 50.0):
+        c = small_config(cell_radius_m=radius, num_ues=8)
+        rng = np.random.default_rng(11)
+        s = cell.reset(c, np.random.default_rng(11))
+        for _ in range(1000):
+            s = cell.step_mobility(s, c, rng)
+            assert (np.linalg.norm(s.ue_positions, axis=1) <= c.cell_radius_m + 1e-9).all()
 
 
 MOBILITY_FOUND = (
@@ -258,7 +262,7 @@ def _rate_inputs(draw):
         p_max=p_min * draw(st.floats(1.0, 1e6)),
         path_loss_exp=draw(st.floats(0.5, 8.0)),
         noise_psd_dbm_hz=draw(st.floats(-250.0, -100.0)),
-        cell_radius_m=draw(st.floats(1.0, 1e5)),
+        cell_radius_m=draw(st.floats(10.0, 1e5)),
         num_neighbors=draw(st.integers(0, 4)),
         neighbor_occupancy=draw(st.floats(0.0, 1.0)),
     )

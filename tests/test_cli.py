@@ -9,10 +9,8 @@ import pytest
 
 from metaran import cli, meta, nets
 from metaran.ddpg import DdpgAgent, evaluate_policy
-from metaran.episode import TaskEnv
 from metaran.errors import ConfigurationError
 from metaran.harness import MetricsLog, default_config
-from metaran.seeding import derive_rng
 
 
 def write_small_config(tmp_path, outer_iters=10, hidden_sizes=(8,), name="config.json"):
@@ -83,9 +81,9 @@ def _eval_line(config_path, ckpt, capsys):
 
 
 def _greedy_line(agent, cfg):
-    """What eval prints for an agent with these parameters."""
-    env = TaskEnv(cfg.new_task_spec(), derive_rng(0, "cli-eval", "env"))
-    ret, _ = evaluate_policy(agent, env, 2)
+    """What eval prints for an agent with these parameters: its greedy return
+    on the new task's evaluation world."""
+    ret, _ = evaluate_policy(agent, meta.eval_env(cfg.new_task_spec(), 0), 2)
     return f"mean discounted return over 2 episodes: {ret:.6f}"
 
 
@@ -121,6 +119,34 @@ def test_eval_of_a_meta_checkpoint(tmp_path, capsys):
     agent, _ = meta.inner_adapt(meta.load_meta_model(ckpt), cfg.new_task_spec(), 0,
                                 cfg.hyper(), 0)
     assert _eval_line(config_path, ckpt, capsys) == _greedy_line(agent, cfg)
+
+
+def test_eval_scores_on_the_evaluation_world_of_every_method(tmp_path, monkeypatch):
+    # Paired evaluation: eval's first greedy episode starts from the same env
+    # stream state as the first evaluation of meta, scratch, tl and mtl.
+    config_path, cfg = write_small_config(tmp_path)
+    new_task, donors, hyper = cfg.new_task_spec(), cfg.donor_task_specs(), cfg.hyper()
+    model = meta.init_meta_model(*meta.task_dims(new_task), hyper, seed=0)
+    ckpt = tmp_path / "model.npz"
+    meta.save_meta_model(ckpt, model)
+    states = {}
+    method = "eval"
+
+    def recording(evaluate):
+        def wrapped(agent, env, *args):
+            states.setdefault(method, repr(env.rng.bit_generator.state))
+            return evaluate(agent, env, *args)
+        return wrapped
+
+    monkeypatch.setattr(cli, "evaluate_policy", recording(cli.evaluate_policy))
+    monkeypatch.setattr(meta, "evaluate_policy", recording(meta.evaluate_policy))
+    assert cli.main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt)]) == 0
+    method = "meta"
+    meta.meta_adapt_new(model, new_task, cfg.meta_schedule(), hyper, 0)
+    for method in ("scratch", "tl", "mtl"):
+        meta.run_baseline(method, new_task, donors, 1, hyper, 0, donor_budget=1)
+    assert list(states) == ["eval", "meta", "scratch", "tl", "mtl"]
+    assert len(set(states.values())) == 1
 
 
 def _commands(config_path, ckpt):

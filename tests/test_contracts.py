@@ -171,6 +171,7 @@ def test_config_naming_subcarrier_spacing_is_rejected(tmp_path):
      ("horizon", -1), ("hidden_sizes", [0]),
      ("buffer_capacity", 200),  # below 2 * batch_size (128): no batch is ever drawn
      ("warmup_transitions", 20_002),  # above buffer_capacity: the gate never opens
+     ("warmup_transitions", -600),  # a second spelling of 0
      ("lr", 0.0), ("lr", -1e-3),  # nothing trains, or gradient ascent
      ("actor_lr", -1e-3),  # would silently fall back to lr
      ("tau", 0.0), ("tau", 2.0), ("noise_decay", 0.0), ("noise_decay", 1.5),
@@ -189,6 +190,7 @@ def test_config_agent_block_is_checked_at_load(tmp_path, key, value):
         ("cell", "path_loss_exp", -1.0, "path_loss_exp"),
         ("cell", "rb_bandwidth", 0.0, "rb_bandwidth"),
         ("cell", "cell_radius_m", -5.0, "cell_radius"),  # CellConfig.cell_radius_m
+        ("cell", "cell_radius_m", 5.0, "cell_radius_m"),  # below SPEED_MAX / 2
         ("cell", "p_min_dbm", 9.0, "p_min"),  # above p_max_dbm
         ("schedule", "outer_iters", 0, "outer_iters"),
         ("schedule", "meta_actor_lr", -1.0, "meta_actor_lr"),

@@ -173,6 +173,8 @@ def test_read_csvs_reads_only_method_csvs(tmp_path):
     fake_log().write_csvs(tmp_path)
     (tmp_path / "adaptation_meta_seed0.csv").write_text("shot,episode_return\n1,-1.5\n")
     (tmp_path / "notes_seed0.csv").write_text("x\n1\n")
+    # A negative seed, which run_experiment does not write.
+    (tmp_path / "meta_seed-1.csv").write_text("episode,return,q_avg,q_min,q_max\n1,0.5,1,1,1\n")
     (tmp_path / "run.json").write_text("{}")
     (tmp_path / "events.jsonl").write_text("{}\n")
     (tmp_path / "meta_model_seed0.npz").write_bytes(b"")
