@@ -335,8 +335,9 @@ class MetricsLog:
     @classmethod
     def read_csvs(cls, out_dir) -> "MetricsLog":
         """The <method>_seed<k>.csv files of out_dir, one per method in METHODS
-        and seed; a missing directory, a missing column or a cell that is not
-        a finite number raises ConfigurationError naming the directory or file."""
+        and seed; a missing directory, a missing column, episodes that do not
+        run 1, 2, ..., n in file order or a cell that is not a finite number
+        raises ConfigurationError naming the directory or file."""
         if not Path(out_dir).is_dir():
             raise ConfigurationError(f"{out_dir}: no such directory")
         log = cls()
@@ -350,12 +351,14 @@ class MetricsLog:
                 if missing:
                     raise ConfigurationError(f"{path}: missing columns {missing}")
                 try:
-                    for row in reader:
+                    for expected, row in enumerate(reader, start=1):
                         episode, *values = (row[c] for c in CSV_COLUMNS)
+                        if int(episode) != expected:
+                            raise ValueError(f"episode {episode!r} where {expected} is due")
                         numbers = [float(v) for v in values]
                         if not np.isfinite(numbers).all():
                             raise ValueError(f"non-finite number in {values}")
-                        log.add(match[1], None, int(match[2]), int(episode), *numbers)
+                        log.add(match[1], None, int(match[2]), expected, *numbers)
                 except (TypeError, ValueError) as exc:
                     raise ConfigurationError(
                         f"{path}, line {reader.line_num}: {exc}") from exc

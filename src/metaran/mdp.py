@@ -83,9 +83,10 @@ def decode_action(
 
     First half scales to requested RB counts, second half to per-UE power.
     RBs are handed out first-fit in ascending UE order until K is exhausted;
-    idle UEs are skipped entirely. UE u owns the RBs from the clipped running
-    total of the requests before it up to its own, so the owner of RB k is
-    the first UE whose running total exceeds k.
+    idle UEs, those set in the (N,) bool idle_mask, are skipped entirely. UE
+    u owns the RBs from the clipped running total of the requests before it
+    up to its own, so the owner of RB k is the first UE whose running total
+    exceeds k.
     """
     n, k = config.num_ues, config.num_rbs
     raw = check_action(raw, n)
@@ -94,7 +95,10 @@ def decode_action(
     requested = np.rint((raw[:n] + 1.0) / 2.0 * k).astype(int)
     ue_power = config.p_min + (raw[n:] + 1.0) / 2.0 * (config.p_max - config.p_min)
     if idle_mask is not None:
-        requested[np.asarray(idle_mask, dtype=bool)] = 0
+        idle_mask = np.asarray(idle_mask, dtype=bool)
+        if idle_mask.shape != (n,):
+            raise ContractViolation(f"idle mask must have shape ({n},)")
+        requested[idle_mask] = 0
 
     ends = np.minimum(requested.cumsum(), k)
     rb_owner = ends.searchsorted(np.arange(k), side="right")  # n past the last request

@@ -114,16 +114,6 @@ def query_gradients(agent: DdpgAgent, rng: np.random.Generator):
     return a_grads, c_grads
 
 
-def accumulate(total, grad):
-    """Running task sum of a query gradient: grad itself (taken over) when
-    total is None, else total += grad. Added in task order this is bitwise
-    np.sum(grads, axis=0), without holding every task's gradient."""
-    if total is None:
-        return grad
-    total += grad
-    return total
-
-
 def apply_meta_update(meta: MetaModel, g_actor, g_critic) -> None:
     """One Adam step on the task-summed query gradients; a no-op when they
     are None (no task had a query batch yet)."""
@@ -178,10 +168,17 @@ def meta_train(
                 run_episode(learner, task.env, train=True)
             task.noise_std = learner.noise_std
             grads = query_gradients(learner, task.query_rng)
-            if grads is not None:
-                g_actor = accumulate(g_actor, grads[0])
-                g_critic = accumulate(g_critic, grads[1])
-                del grads  # free this task's query gradients before the next task runs
+            # Running task sums: the first task's gradients are taken over,
+            # later ones added in place. Added in task order this is bitwise
+            # np.sum(grads, axis=0), without holding every task's gradients.
+            if grads is None:
+                continue
+            if g_actor is None:
+                g_actor, g_critic = grads
+            else:
+                g_actor += grads[0]
+                g_critic += grads[1]
+            del grads  # free this task's query gradients before the next task runs
         apply_meta_update(meta, g_actor, g_critic)
     return meta
 

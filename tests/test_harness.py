@@ -211,6 +211,16 @@ def test_read_csvs_non_finite_cell_names_the_file(tmp_path, cell):
         MetricsLog.read_csvs(tmp_path)
 
 
+@pytest.mark.parametrize("episodes, line", [("3,1,2", 2), ("1,1,5", 3), ("1,2,4", 4),
+                                             ("0,1,2", 2)])
+def test_read_csvs_episodes_out_of_order_name_the_line(tmp_path, episodes, line):
+    # summarize takes the last rows in file order as the last shots.
+    rows = "".join(f"{e},-1.5,1.0,1.0,1.0\n" for e in episodes.split(","))
+    (tmp_path / "tl_seed2.csv").write_text("episode,return,q_avg,q_min,q_max\n" + rows)
+    with pytest.raises(ConfigurationError, match=rf"tl_seed2\.csv, line {line}: episode"):
+        MetricsLog.read_csvs(tmp_path)
+
+
 # -- analysis ----------------------------------------------------------------
 
 

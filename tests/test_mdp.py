@@ -78,6 +78,15 @@ def test_decode_idle_mask_forces_zero_request():
     assert alloc.rb_indicator[2].sum() == 0
 
 
+@pytest.mark.parametrize("idle", [True, np.array([True, False]), np.ones((1, 3), bool)],
+                         ids=["scalar", "short", "2-d"])
+def test_decode_rejects_idle_mask_of_wrong_shape(idle):
+    # A scalar True would zero every request; a short mask would index past it.
+    cfg = CellConfig(num_ues=3, num_rbs=12)
+    with pytest.raises(ContractViolation, match=r"idle mask must have shape \(3,\)"):
+        decode_action(np.ones(6), cfg, idle_mask=idle)
+
+
 def test_decode_first_fit_order():
     cfg = CellConfig(num_ues=2, num_rbs=6)
     # UE0 asks for 3 => rint((raw+1)/2*6)=3 at raw 0; UE1 asks for 6.
