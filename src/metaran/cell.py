@@ -56,6 +56,9 @@ class CellConfig:
         # the disc only while d <= 3R; a step moves a UE under SPEED_MAX.
         if not self.cell_radius_m >= SPEED_MAX / 2:
             raise ConfigurationError(f"cell_radius_m must be >= {SPEED_MAX / 2} m")
+        for name in ("p_min", "p_max", "path_loss_exp", "cell_radius_m"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         with np.errstate(all="ignore"):  # a non-finite power is rejected here, not warned about
             if not 0 < self.noise_rb_mw < np.inf:
                 raise ConfigurationError(

@@ -10,9 +10,11 @@ from .errors import ConfigurationError, ContractViolation, TrainingDivergence
 
 @dataclass(frozen=True)
 class Transition:
+    """One step (s, a, r, s'), or a sampled batch of them stacked on a leading axis."""
+
     state: np.ndarray
     action: np.ndarray
-    reward: float
+    reward: float | np.ndarray
     next_state: np.ndarray
 
 
@@ -103,17 +105,10 @@ class ReplayBuffer:
         self.next_states[i] = tr.next_state
         self.insert_count += 1
 
-@dataclass(frozen=True)
-class Batch:
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    next_states: np.ndarray
-
 
 def sample_batch(
     buffer: ReplayBuffer, batch_size: int, partition: str, rng: np.random.Generator
-) -> Batch:
+) -> Transition:
     """Uniform without-replacement sample from one partition of a buffer
     that holds at least 2 * batch_size transitions.
 
@@ -128,12 +123,8 @@ def sample_batch(
     offset = 0 if partition == "support" else 1
     count = (size + 1 - offset) // 2  # slots with that parity
     idx = offset + 2 * rng.choice(count, size=batch_size, replace=False)
-    return Batch(
-        states=buffer.states[idx],
-        actions=buffer.actions[idx],
-        rewards=buffer.rewards[idx],
-        next_states=buffer.next_states[idx],
-    )
+    return Transition(buffer.states[idx], buffer.actions[idx],
+                      buffer.rewards[idx], buffer.next_states[idx])
 
 
 def layer_sizes(obs_dim: int, act_dim: int, hyper: Hyper) -> tuple:
@@ -204,29 +195,29 @@ class DdpgAgent:
 
     # -- learning ----------------------------------------------------------
 
-    def critic_gradients(self, batch: Batch):
+    def critic_gradients(self, batch: Transition):
         """TD-loss value and gradients of the critic on a batch."""
         h = self.hyper
-        b = len(batch.rewards)
-        next_a, _ = nets.forward(self.target_actor, batch.next_states)
+        b = len(batch.reward)
+        next_a, _ = nets.forward(self.target_actor, batch.next_state)
         next_q, _ = nets.forward(
-            self.target_critic, np.concatenate([batch.next_states, next_a], axis=1)
+            self.target_critic, np.concatenate([batch.next_state, next_a], axis=1)
         )
-        y = batch.rewards + h.gamma * next_q[:, 0]
+        y = batch.reward + h.gamma * next_q[:, 0]
         q, tape = nets.forward(
-            self.critic, np.concatenate([batch.states, batch.actions], axis=1)
+            self.critic, np.concatenate([batch.state, batch.action], axis=1)
         )
         td = q[:, 0] - y
         loss = float(np.mean(td**2))
         grads, _ = nets.backward(self.critic, tape, (2.0 * td / b)[:, None], wrt="params")
         return loss, grads
 
-    def actor_gradients(self, batch: Batch):
+    def actor_gradients(self, batch: Transition):
         """Objective -mean Q(s, mu(s)) and its gradients for the actor."""
-        b = len(batch.rewards)
-        mu, tape_a = nets.forward(self.actor, batch.states)
+        b = len(batch.reward)
+        mu, tape_a = nets.forward(self.actor, batch.state)
         q, tape_q = nets.forward(
-            self.critic, np.concatenate([batch.states, mu], axis=1)
+            self.critic, np.concatenate([batch.state, mu], axis=1)
         )
         dq = np.full((b, 1), 1.0 / b, dtype=self.critic.flat.dtype)
         _, in_grad = nets.backward(self.critic, tape_q, dq, wrt="input")
@@ -234,7 +225,7 @@ class DdpgAgent:
         grads, _ = nets.backward(self.actor, tape_a, -dq_da, wrt="params")
         return float(-np.mean(q)), grads
 
-    def train_step(self, batch: Batch):
+    def train_step(self, batch: Transition):
         """One critic + one actor Adam step on the batch, then soft updates.
 
         Each network's loss and gradient are checked before its Adam step, so

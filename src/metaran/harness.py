@@ -29,7 +29,7 @@ METHODS = ("meta", "scratch", "tl", "mtl")  # meta, then the baselines
 FINAL_SHOTS = 5
 CSV_COLUMNS = ("episode", "return", "q_avg", "q_min", "q_max")
 # A method CSV in a run directory, as write_csvs names it; other files are not read.
-METHOD_CSV = re.compile(rf"({'|'.join(METHODS)})_seed(\d+)\.csv")
+METHOD_CSV = re.compile(rf"({'|'.join(METHODS)})_seed(0|[1-9]\d*)\.csv")
 
 
 # -- configuration ---------------------------------------------------------
@@ -347,7 +347,11 @@ class MetricsLog:
                 continue
             with open(path, newline="") as fh:
                 reader = csv.DictReader(fh)
-                missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+                try:
+                    header = reader.fieldnames or ()
+                except UnicodeDecodeError as exc:
+                    raise ConfigurationError(f"{path}: {exc}") from exc
+                missing = [c for c in CSV_COLUMNS if c not in header]
                 if missing:
                     raise ConfigurationError(f"{path}: missing columns {missing}")
                 try:

@@ -64,6 +64,10 @@ def test_noise_power_per_rb_matches_hand_formula():
         dict(noise_psd_dbm_hz=4000.0),  # the per-RB noise power overflows to inf
         dict(noise_psd_dbm_hz=-4000.0),  # and here underflows to 0
         dict(cell_radius_m=5.0),  # below SPEED_MAX / 2: the edge mirror can leave the disc
+        dict(p_max=float("inf")),  # reset's rng.uniform(p_min, p_max) would overflow
+        dict(p_min=float("inf"), p_max=float("inf")),
+        dict(path_loss_exp=float("inf")),
+        dict(cell_radius_m=float("inf")),
     ],
 )
 def test_invalid_configs_rejected(kw):

@@ -7,7 +7,6 @@ import pytest
 
 from metaran import harness, nets
 from metaran.ddpg import (
-    Batch,
     DdpgAgent,
     Hyper,
     ReplayBuffer,
@@ -102,8 +101,8 @@ def test_partitions_are_disjoint_and_cover():
     rng = np.random.default_rng(0)
     sup, qry = set(), set()
     for _ in range(20):
-        sup |= set(sample_batch(buf, 5, "support", rng).rewards.astype(int))
-        qry |= set(sample_batch(buf, 5, "query", rng).rewards.astype(int))
+        sup |= set(sample_batch(buf, 5, "support", rng).reward.astype(int))
+        qry |= set(sample_batch(buf, 5, "query", rng).reward.astype(int))
     assert sup == set(range(0, 11, 2))  # support draws the even slots
     assert qry == set(range(1, 11, 2))  # query draws the odd slots
     with pytest.raises(ContractViolation):
@@ -119,7 +118,7 @@ def test_sample_batch_draws_like_a_choice_over_the_partition(size, partition, pa
     buf.insert_count = size
     buf.rewards[:] = np.arange(20_000)
     rng, ref = np.random.default_rng(size), np.random.default_rng(size)
-    got = sample_batch(buf, 128, partition, rng).rewards.astype(int)
+    got = sample_batch(buf, 128, partition, rng).reward.astype(int)
     pool = np.arange(size)[np.arange(size) % 2 == parity]
     assert np.array_equal(got, ref.choice(pool, size=128, replace=False))
     assert rng.bit_generator.state == ref.bit_generator.state
@@ -132,7 +131,7 @@ def test_sample_batch_requires_twice_batch_size():
         sample_batch(agent.buffer, 4, "support", agent.rng)
     fill_buffer(agent, 1)
     batch = sample_batch(agent.buffer, 4, "support", agent.rng)
-    assert batch.states.shape == (4, 3)
+    assert batch.state.shape == (4, 3)
 
 
 def test_sample_batch_respects_partition_and_uniqueness():
@@ -143,9 +142,9 @@ def test_sample_batch_respects_partition_and_uniqueness():
     for _ in range(20):
         sup = sample_batch(buf, 8, "support", rng)
         qry = sample_batch(buf, 8, "query", rng)
-        assert (sup.states[:, 0].astype(int) % 2 == 0).all()
-        assert (qry.states[:, 0].astype(int) % 2 == 1).all()
-        assert len(set(sup.states[:, 0])) == 8  # without replacement
+        assert (sup.state[:, 0].astype(int) % 2 == 0).all()
+        assert (qry.state[:, 0].astype(int) % 2 == 1).all()
+        assert len(set(sup.state[:, 0])) == 8  # without replacement
 
 
 # -- acting ------------------------------------------------------------------
@@ -190,29 +189,29 @@ def test_select_action_rejects_wrong_state_dim():
 
 def random_batch(agent, b=4, seed=3):
     rng = np.random.default_rng(seed)
-    return Batch(
-        states=rng.normal(size=(b, agent.obs_dim)),
-        actions=rng.uniform(-1, 1, size=(b, agent.act_dim)),
-        rewards=rng.normal(size=b),
-        next_states=rng.normal(size=(b, agent.obs_dim)),
+    return Transition(
+        state=rng.normal(size=(b, agent.obs_dim)),
+        action=rng.uniform(-1, 1, size=(b, agent.act_dim)),
+        reward=rng.normal(size=b),
+        next_state=rng.normal(size=(b, agent.obs_dim)),
     )
 
 
 def td_loss(agent, batch):
-    next_a, _ = nets.forward(agent.target_actor, batch.next_states)
+    next_a, _ = nets.forward(agent.target_actor, batch.next_state)
     next_q, _ = nets.forward(
-        agent.target_critic, np.concatenate([batch.next_states, next_a], axis=1)
+        agent.target_critic, np.concatenate([batch.next_state, next_a], axis=1)
     )
-    y = batch.rewards + agent.hyper.gamma * next_q[:, 0]
+    y = batch.reward + agent.hyper.gamma * next_q[:, 0]
     q, _ = nets.forward(
-        agent.critic, np.concatenate([batch.states, batch.actions], axis=1)
+        agent.critic, np.concatenate([batch.state, batch.action], axis=1)
     )
     return float(np.mean((q[:, 0] - y) ** 2))
 
 
 def actor_objective(agent, batch):
-    mu, _ = nets.forward(agent.actor, batch.states)
-    q, _ = nets.forward(agent.critic, np.concatenate([batch.states, mu], axis=1))
+    mu, _ = nets.forward(agent.actor, batch.state)
+    q, _ = nets.forward(agent.critic, np.concatenate([batch.state, mu], axis=1))
     return float(-np.mean(q))
 
 
@@ -275,7 +274,7 @@ def test_divergent_batch_raises_before_any_adam_step():
     agent = make_agent()
     agent.train_step(random_batch(agent, b=agent.hyper.batch_size))
     batch = random_batch(agent, b=agent.hyper.batch_size, seed=4)
-    batch.rewards[1] = np.nan
+    batch.reward[1] = np.nan
     kept = [agent.critic.flat, agent.target_actor.flat, agent.target_critic.flat,
             agent.critic_opt.m, agent.critic_opt.v]
     before = [a.copy() for a in kept]

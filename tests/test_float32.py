@@ -10,7 +10,6 @@ import pytest
 from metaran import meta as meta_mod, nets
 from metaran.cell import CellConfig
 from metaran.ddpg import (
-    Batch,
     DdpgAgent,
     Hyper,
     Transition,
@@ -43,16 +42,16 @@ def tiny_task(num_rbs, task_id):
 
 def random_batch(obs_dim, act_dim, b=32, seed=3):
     rng = np.random.default_rng(seed)
-    return Batch(
-        states=rng.normal(size=(b, obs_dim)),
-        actions=rng.uniform(-1, 1, size=(b, act_dim)),
-        rewards=rng.normal(size=b),
-        next_states=rng.normal(size=(b, obs_dim)),
+    return Transition(
+        state=rng.normal(size=(b, obs_dim)),
+        action=rng.uniform(-1, 1, size=(b, act_dim)),
+        reward=rng.normal(size=b),
+        next_state=rng.normal(size=(b, obs_dim)),
     )
 
 
 def as_float32(batch):
-    return Batch(*(a.astype(np.float32) for a in dataclasses.astuple(batch)))
+    return Transition(*(a.astype(np.float32) for a in dataclasses.astuple(batch)))
 
 
 def agent_arrays(agent):

@@ -173,8 +173,9 @@ def test_read_csvs_reads_only_method_csvs(tmp_path):
     fake_log().write_csvs(tmp_path)
     (tmp_path / "adaptation_meta_seed0.csv").write_text("shot,episode_return\n1,-1.5\n")
     (tmp_path / "notes_seed0.csv").write_text("x\n1\n")
-    # A negative seed, which run_experiment does not write.
-    (tmp_path / "meta_seed-1.csv").write_text("episode,return,q_avg,q_min,q_max\n1,0.5,1,1,1\n")
+    # A negative seed and a leading zero, neither of which run_experiment writes.
+    for name in ("meta_seed-1.csv", "meta_seed00.csv"):
+        (tmp_path / name).write_text("episode,return,q_avg,q_min,q_max\n1,0.5,1,1,1\n")
     (tmp_path / "run.json").write_text("{}")
     (tmp_path / "events.jsonl").write_text("{}\n")
     (tmp_path / "meta_model_seed0.npz").write_bytes(b"")
@@ -186,6 +187,12 @@ def test_read_csvs_reads_only_method_csvs(tmp_path):
 def test_read_csvs_missing_column_names_the_file(tmp_path):
     (tmp_path / "meta_seed0.csv").write_text("episode,return,q_avg,q_min\n1,0.5,1.0,1.0\n")
     with pytest.raises(ConfigurationError, match=r"meta_seed0\.csv.*missing columns \['q_max'\]"):
+        MetricsLog.read_csvs(tmp_path)
+
+
+def test_read_csvs_undecodable_header_names_the_file(tmp_path):
+    (tmp_path / "meta_seed0.csv").write_bytes(b"\xff\xfeepisode,return,q_avg,q_min,q_max\n")
+    with pytest.raises(ConfigurationError, match=r"meta_seed0\.csv: .*can't decode"):
         MetricsLog.read_csvs(tmp_path)
 
 
