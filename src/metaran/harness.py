@@ -336,8 +336,9 @@ class MetricsLog:
     def read_csvs(cls, out_dir) -> "MetricsLog":
         """The <method>_seed<k>.csv files of out_dir, one per method in METHODS
         and seed; a missing directory, a missing column, episodes that do not
-        run 1, 2, ..., n in file order or a cell that is not a finite number
-        raises ConfigurationError naming the directory or file."""
+        run 1, 2, ..., n in file order, a cell that is not a finite number or
+        a field over the csv module's size limit raises ConfigurationError
+        naming the directory or file."""
         if not Path(out_dir).is_dir():
             raise ConfigurationError(f"{out_dir}: no such directory")
         log = cls()
@@ -349,7 +350,7 @@ class MetricsLog:
                 reader = csv.DictReader(fh)
                 try:
                     header = reader.fieldnames or ()
-                except UnicodeDecodeError as exc:
+                except (UnicodeDecodeError, csv.Error) as exc:
                     raise ConfigurationError(f"{path}: {exc}") from exc
                 missing = [c for c in CSV_COLUMNS if c not in header]
                 if missing:
@@ -363,9 +364,11 @@ class MetricsLog:
                         if not np.isfinite(numbers).all():
                             raise ValueError(f"non-finite number in {values}")
                         log.add(match[1], None, int(match[2]), expected, *numbers)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, csv.Error) as exc:
+                    # The inner reader's count: DictReader updates its own
+                    # only after a row has been read whole.
                     raise ConfigurationError(
-                        f"{path}, line {reader.line_num}: {exc}") from exc
+                        f"{path}, line {reader.reader.line_num}: {exc}") from exc
         return log
 
 

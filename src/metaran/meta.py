@@ -56,22 +56,14 @@ class MetaModel:
     critic_opt: nets.AdamState
 
 
-def init_meta_model(
-    obs_dim: int,
-    act_dim: int,
-    hyper: Hyper,
-    seed: int,
-    actor_lr: float = 0.0,
-    critic_lr: float = 0.0,
-) -> MetaModel:
+def init_meta_model(obs_dim: int, act_dim: int, hyper: Hyper, seed: int) -> MetaModel:
+    """A model record at fresh parameters, its optimizers at the agent's step sizes."""
     actor, critic = init_actor_critic(obs_dim, act_dim, hyper, np.random.default_rng(seed))
     return MetaModel(
         actor_vec=nets.params_as_vector(actor),
         critic_vec=nets.params_as_vector(critic),
-        actor_opt=nets.init_adam(
-            actor.flat, lr=actor_lr if actor_lr > 0 else hyper.effective_actor_lr
-        ),
-        critic_opt=nets.init_adam(critic.flat, lr=critic_lr if critic_lr > 0 else hyper.lr),
+        actor_opt=nets.init_adam(actor.flat, lr=hyper.effective_actor_lr),
+        critic_opt=nets.init_adam(critic.flat, lr=hyper.lr),
     )
 
 
@@ -150,10 +142,11 @@ def meta_train(
         raise ConfigurationError("tasks must share observation/action dimensions")
     obs_dim, act_dim = dims.pop()
 
-    meta = init_meta_model(
-        obs_dim, act_dim, hyper, derive_seed(seed, "meta-init"),
-        actor_lr=schedule.meta_actor_lr, critic_lr=schedule.meta_critic_lr,
-    )
+    meta = init_meta_model(obs_dim, act_dim, hyper, derive_seed(seed, "meta-init"))
+    if schedule.meta_actor_lr > 0:
+        meta.actor_opt.lr = schedule.meta_actor_lr
+    if schedule.meta_critic_lr > 0:
+        meta.critic_opt.lr = schedule.meta_critic_lr
     learner = DdpgAgent(obs_dim, act_dim, hyper, derive_rng(seed, "meta-train", "learner"))
     states = [TaskState(task, hyper, seed) for task in tasks]
 
@@ -310,6 +303,9 @@ def load_meta_model(path) -> MetaModel:
     except TypeError as exc:  # other arrays, such as an agent's target networks
         raise ConfigurationError(f"{path}: not a model checkpoint ({exc})") from exc
     for name in ("actor_vec", "critic_vec"):
-        if not np.isfinite(getattr(model, name)).all():
+        vec = getattr(model, name)
+        if vec.dtype.kind != "f":
+            raise ConfigurationError(f"{path}: {name} is not a floating-point array ({vec.dtype})")
+        if not np.isfinite(vec).all():
             raise ConfigurationError(f"{path}: {name} has non-finite entries")
     return model

@@ -73,10 +73,9 @@ def test_seed_and_out_overrides(tmp_path):
     assert (other / "scratch_seed7.csv").exists()
 
 
-def _eval_line(config_path, ckpt, capsys):
+def _eval_line(config_args, ckpt, capsys):
     capsys.readouterr()
-    assert cli.main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt),
-                     "--episodes", "2"]) == 0
+    assert cli.main(["eval", *config_args, "--checkpoint", str(ckpt), "--episodes", "2"]) == 0
     return capsys.readouterr().out.strip()
 
 
@@ -108,7 +107,7 @@ def test_meta_train_then_eval(tmp_path, capsys):
     assert np.array_equal(saved.critic_vec, agent.critic.flat)
     assert saved.actor_opt.step_count == agent.actor_opt.step_count > 0
     assert np.array_equal(saved.critic_opt.v, agent.critic_opt.v)
-    assert _eval_line(config_path, ckpt, capsys) == _greedy_line(agent, cfg)
+    assert _eval_line(["--config", str(config_path)], ckpt, capsys) == _greedy_line(agent, cfg)
 
 
 def test_eval_of_a_meta_checkpoint(tmp_path, capsys):
@@ -118,7 +117,16 @@ def test_eval_of_a_meta_checkpoint(tmp_path, capsys):
     # A zero-budget adaptation is the agent at the meta parameters.
     agent, _ = meta.inner_adapt(meta.load_meta_model(ckpt), cfg.new_task_spec(), 0,
                                 cfg.hyper(), 0)
-    assert _eval_line(config_path, ckpt, capsys) == _greedy_line(agent, cfg)
+    assert _eval_line(["--config", str(config_path)], ckpt, capsys) == _greedy_line(agent, cfg)
+
+
+def test_eval_of_a_checkpoint_on_a_built_in_profile(tmp_path, capsys):
+    cfg = default_config("toy")
+    model = meta.init_meta_model(*meta.task_dims(cfg.new_task_spec()), cfg.hyper(), seed=0)
+    ckpt = tmp_path / "toy.npz"
+    meta.save_meta_model(ckpt, model)
+    agent, _ = meta.inner_adapt(model, cfg.new_task_spec(), 0, cfg.hyper(), 0)
+    assert _eval_line(["--profile", "toy"], ckpt, capsys) == _greedy_line(agent, cfg)
 
 
 def test_eval_scores_on_the_evaluation_world_of_every_method(tmp_path, monkeypatch):

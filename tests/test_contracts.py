@@ -504,6 +504,19 @@ def test_checkpoint_with_non_finite_parameters_names_the_file(tmp_path, name):
         meta.load_meta_model(path)
 
 
+@pytest.mark.parametrize("dtype", ["U32", "complex128"])  # neither needs pickle to load
+@pytest.mark.parametrize("name", ["actor_vec", "critic_vec"])
+def test_checkpoint_with_parameters_that_are_not_real_floats_names_the_file(tmp_path, name,
+                                                                            dtype):
+    m = meta.init_meta_model(3, 2, ddpg.Hyper(hidden_sizes=(8,)), seed=0)
+    setattr(m, name, getattr(m, name).astype(dtype))
+    path = tmp_path / "meta.npz"
+    meta.save_meta_model(path, m)
+    with pytest.raises(ConfigurationError,
+                       match=f"{re.escape(str(path))}: {name} is not a floating-point array"):
+        meta.load_meta_model(path)
+
+
 @pytest.mark.parametrize("load", [meta.load_meta_model])
 def test_loaders_reject_headerless_version_one_layout(tmp_path, load):
     # Version-1 files stored format_version as an array and had no header.

@@ -92,6 +92,9 @@ def test_buffer_len_and_wraparound():
     assert len(buf) == 4
     # Slots 0..3 now hold transitions 4, 5, 2, 3 (FIFO overwrite).
     assert buf.rewards.tolist() == [4.0, 5.0, 2.0, 3.0]
+    for capacity in (5, 0):  # the parity split needs a positive even capacity
+        with pytest.raises(ConfigurationError, match="capacity"):
+            ReplayBuffer(capacity, 2, 1)
 
 
 def test_partitions_are_disjoint_and_cover():

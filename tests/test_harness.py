@@ -196,6 +196,13 @@ def test_read_csvs_undecodable_header_names_the_file(tmp_path):
         MetricsLog.read_csvs(tmp_path)
 
 
+def test_read_csvs_header_field_over_the_size_limit_names_the_file(tmp_path):
+    (tmp_path / "meta_seed0.csv").write_text("episode," + "9" * 200_000 + "\n")
+    with pytest.raises(ConfigurationError,
+                       match=r"meta_seed0\.csv: field larger than field limit"):
+        MetricsLog.read_csvs(tmp_path)
+
+
 def test_read_csvs_non_numeric_cell_names_the_file(tmp_path):
     fake_log().write_csvs(tmp_path)
     path = tmp_path / "scratch_seed1.csv"
@@ -203,6 +210,14 @@ def test_read_csvs_non_numeric_cell_names_the_file(tmp_path):
     lines[2] = lines[2].replace(lines[2].split(",")[1], "oops", 1)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError, match=r"scratch_seed1\.csv, line 3: .*'oops'"):
+        MetricsLog.read_csvs(tmp_path)
+
+
+def test_read_csvs_cell_over_the_size_limit_names_the_line(tmp_path):
+    rows = "1,-1.5,1.0,1.0,1.0\n" + "2,-" + "1" * 200_000 + ",1.0,1.0,1.0\n"
+    (tmp_path / "meta_seed0.csv").write_text("episode,return,q_avg,q_min,q_max\n" + rows)
+    with pytest.raises(ConfigurationError,
+                       match=r"meta_seed0\.csv, line 3: field larger than field limit"):
         MetricsLog.read_csvs(tmp_path)
 
 

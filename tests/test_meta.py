@@ -73,10 +73,15 @@ def test_meta_model_shapes_and_step_sizes():
     m = init_meta_model(7, 4, h, seed=0)
     assert m.actor_vec.shape == (7 * 8 + 8 + 8 * 4 + 4,)
     assert m.critic_vec.shape == (11 * 8 + 8 + 8 * 1 + 1,)
-    # Defaults reuse the inner step sizes; explicit values override them.
+    # The record takes the inner step sizes; meta_train puts a schedule's
+    # nonzero meta step sizes in their place, and 0 keeps the inner ones.
     assert m.actor_opt.lr == 2e-4 and m.critic_opt.lr == 1e-3
-    m2 = init_meta_model(7, 4, h, seed=0, actor_lr=5e-5, critic_lr=7e-3)
+    sched = MetaSchedule(outer_iters=1, eval_episodes=1, num_tasks=1)
+    m2 = meta_train([tiny_task()], replace(sched, meta_actor_lr=5e-5, meta_critic_lr=7e-3),
+                    h, seed=0)
     assert m2.actor_opt.lr == 5e-5 and m2.critic_opt.lr == 7e-3
+    m3 = meta_train([tiny_task()], sched, h, seed=0)
+    assert m3.actor_opt.lr == 2e-4 and m3.critic_opt.lr == 1e-3
 
 
 def test_meta_model_and_agent_share_one_initializer():
@@ -198,10 +203,11 @@ def reference_meta_train(tasks, schedule, hyper, seed):
     and the query gradients summed at the end of the iteration."""
     n = tasks[0].cell_config.num_ues
     obs_dim, act_dim = mdp.observation_dim(n), mdp.action_dim(n)
-    meta = init_meta_model(
-        obs_dim, act_dim, hyper, derive_seed(seed, "meta-init"),
-        actor_lr=schedule.meta_actor_lr, critic_lr=schedule.meta_critic_lr,
-    )
+    meta = init_meta_model(obs_dim, act_dim, hyper, derive_seed(seed, "meta-init"))
+    if schedule.meta_actor_lr > 0:
+        meta.actor_opt.lr = schedule.meta_actor_lr
+    if schedule.meta_critic_lr > 0:
+        meta.critic_opt.lr = schedule.meta_critic_lr
     envs = [TaskEnv(t, derive_rng(seed, "meta-train", "env", t.task_id)) for t in tasks]
     agents = [DdpgAgent(obs_dim, act_dim, hyper,
                         derive_rng(seed, "meta-train", "agent", t.task_id)) for t in tasks]
@@ -453,7 +459,8 @@ def test_tl_equals_pretraining_through_inner_adapt():
 
 def test_save_load_meta_model_round_trip(tmp_path):
     h = tiny_hyper()
-    m = init_meta_model(5, 2, h, seed=8, actor_lr=2e-4, critic_lr=3e-3)
+    m = init_meta_model(5, 2, h, seed=8)
+    m.actor_opt.lr, m.critic_opt.lr = 2e-4, 3e-3
     rng = np.random.default_rng(0)
     apply_meta_update(
         m,

@@ -373,6 +373,9 @@ def test_soft_update_formula():
     s = np.array([3.0, 4.0])
     nets.soft_update(t, s, tau=0.25)
     assert np.allclose(t, [1.5, 2.5])
+    for target, source in ((t, s[:1]), (t.reshape(1, 2), s.reshape(1, 2))):
+        with pytest.raises(ContractViolation, match="shape mismatch"):
+            nets.soft_update(target, source, tau=0.25)
 
 
 def test_soft_update_tau_one_copies_source():
