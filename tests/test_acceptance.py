@@ -222,7 +222,7 @@ def test_toy_profile_runs_are_byte_identical(tmp_path):
 
 
 @pytest.mark.slow
-def test_ddpg_learns_on_stationary_single_ue_task():
+def test_ddpg_learns_on_stationary_single_ue_task(stationary_env):
     start = time.perf_counter()
     cfg = CellConfig(num_rbs=4, num_ues=1, cell_radius_m=60.0, num_neighbors=0)
     task = TaskSpec(demand_min=15e6, demand_max=25e6, cell_config=cfg)
@@ -235,8 +235,8 @@ def test_ddpg_learns_on_stationary_single_ue_task():
     passes = 0
     for seed in range(5):
         agent = DdpgAgent(5, 2, hyper, derive_rng(seed, "agent"))
-        env = TaskEnv(task, derive_rng(seed, "env"), stationary=True)
-        eval_env = TaskEnv(task, derive_rng(seed, "eval"), stationary=True)
+        env = stationary_env(task, derive_rng(seed, "env"))
+        eval_env = stationary_env(task, derive_rng(seed, "eval"))
         evals = []
         for _ in range(episodes):
             run_episode(agent, env, train=True)

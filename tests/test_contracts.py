@@ -1,7 +1,8 @@
 """Contracts other code relies on: the names the benchmark tracer wraps, the
-allocation form its serve gate reads, the config file format, and the single
-versioned checkpoint format."""
+allocation form its serve gate reads, the config file format, the single
+versioned checkpoint format, and the package's numpy-only imports."""
 
+import ast
 import copy
 import dataclasses
 import importlib
@@ -11,6 +12,7 @@ import io
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from metaran.episode import TaskEnv
 from metaran.errors import ConfigurationError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "metaran"
 
 
 def _load_perfbench(name):
@@ -54,6 +57,25 @@ def test_every_traced_span_resolves_on_the_package():
                     hyper, seed=0, on_outer_start=lambda *args, **kw: calls.append((args, kw)))
     assert [(len(args), kw) for args, kw in calls] == [(3, {})] * 3
     assert [args[0] for args, _ in calls] == [1, 2, 3]
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    seen, bad = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a package-relative one
+            for name in names:
+                seen.add(name.split(".")[0])
+                if name.split(".")[0] not in allowed:
+                    bad.append(f"{path.name}:{node.lineno} imports {name}")
+    assert "numpy" in seen
+    assert not bad, bad
 
 
 @pytest.mark.parametrize("name", ["toy-meta", "paper-learn", "paper-serve"])

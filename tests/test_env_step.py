@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from metaran import cell, harness, mdp
 from metaran.cell import DIRECTIONS, SPEED_MAX, SPEED_MIN, TRAFFIC_LEVELS, CellConfig
-from metaran.episode import TaskEnv
+from metaran.episode import TaskEnv, score
 from metaran.errors import ContractViolation
 from metaran.mdp import TaskSpec
 
@@ -212,8 +212,8 @@ def _actions(rng, n, steps):
     return [kinds[t % len(kinds)]() for t in range(steps)]
 
 
-def _run_lockstep(task, seed, stationary, episodes=3, horizon=40):
-    env = TaskEnv(task, np.random.default_rng(seed), stationary=stationary)
+def _run_lockstep(task, seed, stationary, episodes=3, horizon=40, make_env=TaskEnv):
+    env = make_env(task, np.random.default_rng(seed))
     ref = ReferenceEnv(task, np.random.default_rng(seed), stationary=stationary)
     acts = _actions(np.random.default_rng(seed + 1000), task.cell_config.num_ues,
                     episodes * horizon)
@@ -259,10 +259,41 @@ def test_step_equals_the_earlier_composition_bytewise(profile):
 
 
 @pytest.mark.parametrize("profile", ["toy", "paper"])
-def test_stationary_step_equals_the_earlier_composition_bytewise(profile):
+def test_stationary_step_equals_the_earlier_composition_bytewise(profile, stationary_env):
     task = harness.default_config(profile).donor_task_specs()[0]
-    _, over, crossed = _run_lockstep(task, seed=5, stationary=True)
+    _, over, crossed = _run_lockstep(task, seed=5, stationary=True, make_env=stationary_env)
     assert over > 0 and crossed == 0
+
+
+@pytest.mark.parametrize("profile", ["toy", "paper"])
+def test_scoring_on_advance_equals_step_and_draws_nothing(profile):
+    """Twins on one seed: one steps; the other advances, then scores two other
+    candidates and the chosen action on the same draw."""
+    task = harness.default_config(profile).donor_task_specs()[0]
+    n = task.cell_config.num_ues
+    env, twin = (TaskEnv(task, np.random.default_rng(6)) for _ in range(2))
+    episodes, horizon = 3, 40
+    acts = _actions(np.random.default_rng(7), n, 3 * episodes * horizon)
+    for ep in range(episodes):
+        assert _bits(env.reset()) == _bits(twin.reset())
+        for t in range(horizon):
+            i = 3 * (ep * horizon + t)
+            *others, raw = acts[i:i + 3]
+            obs, reward, qos = env.step(raw)
+            snapshot, channel = twin.advance()
+            assert snapshot is twin.snapshot
+            rng_state = twin.rng.bit_generator.state
+            for action in [*others, raw]:
+                alloc, t_obs, t_reward, t_qos = score(mdp.check_action(action, n), snapshot,
+                                                      channel, task)
+            assert twin.rng.bit_generator.state == rng_state
+            assert _bits(obs) == _bits(t_obs)
+            assert _bits(np.float64(reward)) == _bits(np.float64(t_reward))
+            assert type(reward) is type(t_reward) is float
+            assert _bits(qos) == _bits(t_qos)
+            twin.prev_alloc = alloc  # the chosen action's allocation, as step keeps it
+            _assert_same_state(env, twin)
+    assert env.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 def test_heading_draw_is_the_choice_stream():
@@ -325,11 +356,13 @@ def test_vectorized_decode_equals_the_first_fit_loop(inputs):
 # -- contract ------------------------------------------------------------------
 
 
-def test_step_before_reset_raises_contract_violation():
+@pytest.mark.parametrize("call", ["step", "advance"])
+def test_step_before_reset_raises_contract_violation(call):
     task = harness.default_config("toy").donor_task_specs()[0]
     env = TaskEnv(task, np.random.default_rng(0))
+    args = {"step": (np.zeros(mdp.action_dim(task.cell_config.num_ues)),), "advance": ()}
     with pytest.raises(ContractViolation, match="reset"):
-        env.step(np.zeros(mdp.action_dim(task.cell_config.num_ues)))
+        getattr(env, call)(*args[call])
 
 
 def test_rejected_action_leaves_the_env_untouched():
