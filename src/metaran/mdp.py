@@ -24,6 +24,8 @@ class TaskSpec:
     def __post_init__(self):
         if not (0 <= self.demand_min < self.demand_max):
             raise ConfigurationError("need 0 <= demand_min < demand_max")
+        if not np.isfinite(self.demand_max):
+            raise ConfigurationError("demand_max must be finite")
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ def encode_state(qos: np.ndarray, prev: AllocationAction, task: TaskSpec) -> np.
     """Observation vector [q_avg, q_min, q_max] / c_max, previous requested
     counts / K, previous powers mapped back to [-1, 1]; length 3 + 2N."""
     cfg = task.cell_config
-    span = cfg.p_max - cfg.p_min
+    span = (cfg.p_max - cfg.p_min) or 1.0  # p_min == p_max: every power is p_min, read as -1
     return np.concatenate([
         qos / task.demand_max,
         prev.rb_requested / cfg.num_rbs,

@@ -52,26 +52,24 @@ class MetaSchedule:
 class MetaModel:
     actor_vec: np.ndarray
     critic_vec: np.ndarray
-    actor_opt: nets.AdamState
-    critic_opt: nets.AdamState
+    # The meta optimizer, which meta_train builds; no checkpoint carries it.
+    actor_opt: nets.AdamState | None = None
+    critic_opt: nets.AdamState | None = None
 
 
 def init_meta_model(obs_dim: int, act_dim: int, hyper: Hyper, seed: int) -> MetaModel:
-    """A model record at fresh parameters, its optimizers at the agent's step sizes."""
+    """A model record at fresh parameters."""
     actor, critic = init_actor_critic(obs_dim, act_dim, hyper, np.random.default_rng(seed))
     return MetaModel(
         actor_vec=nets.params_as_vector(actor),
         critic_vec=nets.params_as_vector(critic),
-        actor_opt=nets.init_adam(actor.flat, lr=hyper.effective_actor_lr),
-        critic_opt=nets.init_adam(critic.flat, lr=hyper.lr),
     )
 
 
 def agent_model(agent: DdpgAgent) -> MetaModel:
-    """The agent's online parameters (copied) and optimizer states as a
-    model record, the form every model checkpoint takes."""
-    return MetaModel(nets.params_as_vector(agent.actor), nets.params_as_vector(agent.critic),
-                     agent.actor_opt, agent.critic_opt)
+    """The agent's online parameters (copied) as a model record, the form
+    every model checkpoint takes."""
+    return MetaModel(nets.params_as_vector(agent.actor), nets.params_as_vector(agent.critic))
 
 
 def task_dims(task: TaskSpec) -> tuple:
@@ -143,10 +141,9 @@ def meta_train(
     obs_dim, act_dim = dims.pop()
 
     meta = init_meta_model(obs_dim, act_dim, hyper, derive_seed(seed, "meta-init"))
-    if schedule.meta_actor_lr > 0:
-        meta.actor_opt.lr = schedule.meta_actor_lr
-    if schedule.meta_critic_lr > 0:
-        meta.critic_opt.lr = schedule.meta_critic_lr
+    meta.actor_opt = nets.init_adam(meta.actor_vec,
+                                    lr=schedule.meta_actor_lr or hyper.effective_actor_lr)
+    meta.critic_opt = nets.init_adam(meta.critic_vec, lr=schedule.meta_critic_lr or hyper.lr)
     learner = DdpgAgent(obs_dim, act_dim, hyper, derive_rng(seed, "meta-train", "learner"))
     states = [TaskState(task, hyper, seed) for task in tasks]
 
@@ -288,20 +285,15 @@ def save_meta_model(path, meta: MetaModel) -> None:
         path, {},
         actor_vec=meta.actor_vec,
         critic_vec=meta.critic_vec,
-        actor_opt=meta.actor_opt,
-        critic_opt=meta.critic_opt,
     )
 
 
 def load_meta_model(path) -> MetaModel:
     """A model checkpoint, meta or adapted, as save_meta_model writes it."""
-    # Older version-2 files also carry actor_sizes and critic_sizes in the
-    # header; the layer sizes follow from the config, so they are not read.
     _, arrays = nets.load_checkpoint(path)
-    try:
-        model = MetaModel(**arrays)
-    except TypeError as exc:  # other arrays, such as an agent's target networks
-        raise ConfigurationError(f"{path}: not a model checkpoint ({exc})") from exc
+    if arrays.keys() != {"actor_vec", "critic_vec"}:  # such as an agent's target networks
+        raise ConfigurationError(f"{path}: not a model checkpoint (arrays {sorted(arrays)})")
+    model = MetaModel(**arrays)
     for name in ("actor_vec", "critic_vec"):
         vec = getattr(model, name)
         if vec.dtype.kind != "f":

@@ -33,7 +33,7 @@ DTYPES = ("float64", "float32")
 
 # Format of every npz checkpoint (model records). load_checkpoint
 # rejects any other version, and files without a header, as unreadable.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _layer_views(sizes: tuple, flat: np.ndarray):
@@ -246,18 +246,14 @@ def save_checkpoint(path, header: dict, **arrays) -> None:
     """One npz: a JSON header (with format_version) plus named arrays,
     replacing the file at path only once it is written whole.
 
-    An AdamState value is stored as arrays `<name>_m`, `<name>_v` and its
-    scalars under header["adam"][name].
+    A value whose array form needs pickling (object dtype) raises
+    ContractViolation before any file is made: load_checkpoint refuses pickles.
     """
-    head = {"format_version": CHECKPOINT_VERSION, **header, "adam": {}}
-    out = {}
-    for name, value in arrays.items():
-        if isinstance(value, AdamState):
-            scalars = vars(value).copy()
-            out[f"{name}_m"], out[f"{name}_v"] = scalars.pop("m"), scalars.pop("v")
-            head["adam"][name] = scalars
-        else:
-            out[name] = value
+    head = {"format_version": CHECKPOINT_VERSION, **header}
+    out = {name: np.asanyarray(value) for name, value in arrays.items()}
+    pickled = [name for name, value in out.items() if value.dtype.hasobject]
+    if pickled:
+        raise ContractViolation(f"checkpoint values {pickled} are not plain arrays")
     # Written whole or not at all: into a new file beside the target, created
     # with the mode a plain open() gives, then renamed over it.
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
@@ -272,11 +268,11 @@ def save_checkpoint(path, header: dict, **arrays) -> None:
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint: (header, arrays), AdamStates rebuilt.
+    """Inverse of save_checkpoint: (header, arrays).
 
     Raises ConfigurationError naming the file unless it is a readable npz
-    archive with a JSON-object header that carries CHECKPOINT_VERSION and
-    whole optimizer states; a missing file raises FileNotFoundError.
+    archive with a JSON-object header that carries CHECKPOINT_VERSION; a
+    missing file raises FileNotFoundError.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -297,12 +293,4 @@ def load_checkpoint(path):
             f"{path}: checkpoint format version {version!r} is not supported "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    try:
-        for name, scalars in header.pop("adam").items():
-            m, v = arrays.pop(f"{name}_m"), arrays.pop(f"{name}_v")
-            arrays[name] = AdamState(m, v, **scalars)
-    except (KeyError, AttributeError, TypeError) as exc:
-        raise ConfigurationError(
-            f"{path}: malformed optimizer state ({type(exc).__name__}: {exc})"
-        ) from exc
     return header, arrays

@@ -324,6 +324,8 @@ def test_structural_properties_of_meta_loop():
     ref = meta.init_meta_model(
         agent.obs_dim, agent.act_dim, hyper, derive_seed(2, "meta-init")
     )
+    ref.actor_opt = nets.init_adam(ref.actor_vec, lr=hyper.effective_actor_lr)
+    ref.critic_opt = nets.init_adam(ref.critic_vec, lr=hyper.lr)
     env = TaskEnv(task, derive_rng(2, "meta-train", "env", task.task_id))
     by_hand = DdpgAgent(
         agent.obs_dim, agent.act_dim, hyper,

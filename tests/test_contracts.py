@@ -417,80 +417,68 @@ def _rewrite_header(path, edit):
     edit(header)
     arrays["header"] = json.dumps(header)
     np.savez(path, **arrays)
+    return header
 
 
 def _version_one(header):
     header["format_version"] = 1
 
 
+def _version_two(header):  # its files also held the Adam states
+    header["format_version"] = 2
+
+
 def _no_version(header):
     del header["format_version"]
 
 
-@pytest.mark.parametrize("edit", [_version_one, _no_version])
+@pytest.mark.parametrize("edit", [_version_one, _version_two, _no_version])
 @pytest.mark.parametrize("save, load", [(_meta_checkpoint, meta.load_meta_model)])
 def test_loaders_reject_other_checkpoint_versions(tmp_path, save, load, edit):
     path = tmp_path / "ckpt.npz"
     save(path)
     load(path)  # the unedited file loads
-    _rewrite_header(path, edit)
-    with pytest.raises(ConfigurationError):
+    version = _rewrite_header(path, edit).get("format_version")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{path}: checkpoint format version {version!r} ")):
         load(path)
-
-
-def _no_adam_header(header, arrays):
-    del header["adam"]
-    return header
-
-
-def _no_adam_arrays(header, arrays):
-    del arrays["actor_opt_m"], arrays["actor_opt_v"]
-    return header
 
 
 def _list_header(header, arrays):
     return [header]
 
 
-@pytest.mark.parametrize("edit", [_no_adam_header, _no_adam_arrays, _list_header])
+def _stray_array(header, arrays):  # such as a version-2 file's Adam moment
+    arrays["actor_opt_m"] = np.zeros_like(arrays["actor_vec"])
+    return header
+
+
+def _no_critic_vec(header, arrays):
+    del arrays["critic_vec"]
+    return header
+
+
+@pytest.mark.parametrize("edit", [_list_header, _stray_array, _no_critic_vec])
 def test_loaders_reject_malformed_checkpoints(tmp_path, edit):
-    # Version-2 files whose optimizer states or header are not whole.
+    # Files whose header is not a JSON object, or whose arrays are not
+    # exactly a model record's two vectors.
     path = tmp_path / "ckpt.npz"
     _meta_checkpoint(path)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
     header = edit(json.loads(str(arrays.pop("header"))), arrays)
     np.savez(path, header=json.dumps(header), **arrays)
-    with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+    with pytest.raises(ConfigurationError,
+                       match=f"{re.escape(str(path))}: not a (readable|model) checkpoint"):
         meta.load_meta_model(path)
-
-
-def test_meta_checkpoint_with_layer_sizes_still_loads(tmp_path):
-    # Version-2 meta checkpoints written before the sizes were dropped carry
-    # actor_sizes and critic_sizes in the header.
-    m = meta.init_meta_model(3, 2, ddpg.Hyper(hidden_sizes=(8,)), seed=0)
-    meta.apply_meta_update(m, np.ones_like(m.actor_vec), np.ones_like(m.critic_vec))
-    path = tmp_path / "old.npz"
-    nets.save_checkpoint(
-        path, {"actor_sizes": [3, 8, 2], "critic_sizes": [5, 8, 1]},
-        actor_vec=m.actor_vec, critic_vec=m.critic_vec,
-        actor_opt=m.actor_opt, critic_opt=m.critic_opt,
-    )
-    back = meta.load_meta_model(path)
-    for name in ("actor_vec", "critic_vec"):
-        assert np.array_equal(getattr(back, name), getattr(m, name))
-    for name in ("actor_opt", "critic_opt"):
-        old, new = getattr(m, name), getattr(back, name)
-        assert np.array_equal(new.m, old.m) and np.array_equal(new.v, old.v)
-        assert vars(new).keys() == vars(old).keys()
-        assert all(getattr(new, k) == getattr(old, k) for k in vars(old) if k not in ("m", "v"))
 
 
 def test_meta_checkpoint_header_has_no_layer_sizes(tmp_path):
     path = tmp_path / "meta.npz"
     _meta_checkpoint(path)
-    header, _ = nets.load_checkpoint(path)
+    header, arrays = nets.load_checkpoint(path)
     assert set(header) == {"format_version"}
+    assert arrays.keys() == {"actor_vec", "critic_vec"}  # no optimizer state
 
 
 def _npy_bytes(data):

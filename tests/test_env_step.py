@@ -386,6 +386,19 @@ def test_rejected_action_leaves_the_env_untouched():
     assert env.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
+def test_equal_power_bounds_give_a_finite_observation_and_reward():
+    # A fixed-power cell (p_min == p_max) is valid; its power channel reads -1.
+    task = harness.default_config("toy").donor_task_specs()[0]
+    cfg = replace(task.cell_config, p_max=task.cell_config.p_min)
+    env = TaskEnv(replace(task, cell_config=cfg), np.random.default_rng(0))
+    n = cfg.num_ues
+    assert np.array_equal(env.reset()[3 + n:], np.full(n, -1.0))
+    for t in range(5):
+        obs, reward, _ = env.step(np.random.default_rng(t).uniform(-1, 1, 2 * n))
+        assert np.isfinite(obs).all() and np.isfinite(reward)
+        assert np.array_equal(obs[3 + n:], np.full(n, -1.0))
+
+
 def test_allocation_mask_is_built_once_per_allocation():
     alloc = mdp.decode_action(np.zeros(6), CellConfig(num_ues=3, num_rbs=12))
     assert alloc.rb_indicator is alloc.rb_indicator

@@ -38,6 +38,8 @@ def test_task_spec_validation():
         make_task(demand_min=5e6, demand_max=5e6)
     with pytest.raises(ConfigurationError):
         make_task(demand_min=-1.0)
+    with pytest.raises(ConfigurationError, match="demand_max"):
+        make_task(demand_max=float("inf"))
 
 
 # -- decoding ----------------------------------------------------------------

@@ -46,6 +46,14 @@ def tiny_task(num_rbs=4, task_id=0):
     return TaskSpec(demand_min=1e5, demand_max=1e6, cell_config=cfg, task_id=task_id)
 
 
+def with_meta_adam(m, hyper, schedule=MetaSchedule(outer_iters=1)):
+    """m with the meta optimizer that meta_train builds for it."""
+    m.actor_opt = nets.init_adam(m.actor_vec,
+                                 lr=schedule.meta_actor_lr or hyper.effective_actor_lr)
+    m.critic_opt = nets.init_adam(m.critic_vec, lr=schedule.meta_critic_lr or hyper.lr)
+    return m
+
+
 # -- schedule ----------------------------------------------------------------
 
 
@@ -73,9 +81,9 @@ def test_meta_model_shapes_and_step_sizes():
     m = init_meta_model(7, 4, h, seed=0)
     assert m.actor_vec.shape == (7 * 8 + 8 + 8 * 4 + 4,)
     assert m.critic_vec.shape == (11 * 8 + 8 + 8 * 1 + 1,)
-    # The record takes the inner step sizes; meta_train puts a schedule's
-    # nonzero meta step sizes in their place, and 0 keeps the inner ones.
-    assert m.actor_opt.lr == 2e-4 and m.critic_opt.lr == 1e-3
+    # The record carries no optimizer; meta_train builds it at a schedule's
+    # nonzero meta step sizes, and 0 keeps the inner ones.
+    assert m.actor_opt is None and m.critic_opt is None
     sched = MetaSchedule(outer_iters=1, eval_episodes=1, num_tasks=1)
     m2 = meta_train([tiny_task()], replace(sched, meta_actor_lr=5e-5, meta_critic_lr=7e-3),
                     h, seed=0)
@@ -106,7 +114,7 @@ def test_meta_model_and_agent_share_one_initializer():
 
 def test_empty_update_is_a_noop():
     h = tiny_hyper()
-    m = init_meta_model(5, 2, h, seed=1)
+    m = with_meta_adam(init_meta_model(5, 2, h, seed=1), h)
     before = m.actor_vec.copy()
     apply_meta_update(m, None, None)
     assert np.array_equal(m.actor_vec, before)
@@ -115,12 +123,12 @@ def test_empty_update_is_a_noop():
 
 def test_single_task_update_equals_plain_adam_step():
     h = tiny_hyper()
-    m = init_meta_model(5, 2, h, seed=1)
+    m = with_meta_adam(init_meta_model(5, 2, h, seed=1), h)
     rng = np.random.default_rng(0)
     ga = rng.normal(size=m.actor_vec.shape)
     gc = rng.normal(size=m.critic_vec.shape)
 
-    ref = init_meta_model(5, 2, h, seed=1)
+    ref = with_meta_adam(init_meta_model(5, 2, h, seed=1), h)
     nets.adam_step(ref.actor_vec, ga.copy(), ref.actor_opt)
     nets.adam_step(ref.critic_vec, gc.copy(), ref.critic_opt)
 
@@ -132,7 +140,7 @@ def test_single_task_update_equals_plain_adam_step():
 @pytest.mark.parametrize("bad", ["actor", "critic"])
 def test_non_finite_meta_gradient_raises_and_changes_nothing(bad):
     h = tiny_hyper()
-    m = init_meta_model(5, 2, h, seed=3)
+    m = with_meta_adam(init_meta_model(5, 2, h, seed=3), h)
     rng = np.random.default_rng(2)
     # One good step first, so that the moments and step counts are not zero.
     apply_meta_update(m, rng.normal(size=m.actor_vec.shape), rng.normal(size=m.critic_vec.shape))
@@ -203,11 +211,8 @@ def reference_meta_train(tasks, schedule, hyper, seed):
     and the query gradients summed at the end of the iteration."""
     n = tasks[0].cell_config.num_ues
     obs_dim, act_dim = mdp.observation_dim(n), mdp.action_dim(n)
-    meta = init_meta_model(obs_dim, act_dim, hyper, derive_seed(seed, "meta-init"))
-    if schedule.meta_actor_lr > 0:
-        meta.actor_opt.lr = schedule.meta_actor_lr
-    if schedule.meta_critic_lr > 0:
-        meta.critic_opt.lr = schedule.meta_critic_lr
+    meta = with_meta_adam(
+        init_meta_model(obs_dim, act_dim, hyper, derive_seed(seed, "meta-init")), hyper, schedule)
     envs = [TaskEnv(t, derive_rng(seed, "meta-train", "env", t.task_id)) for t in tasks]
     agents = [DdpgAgent(obs_dim, act_dim, hyper,
                         derive_rng(seed, "meta-train", "agent", t.task_id)) for t in tasks]
@@ -459,8 +464,7 @@ def test_tl_equals_pretraining_through_inner_adapt():
 
 def test_save_load_meta_model_round_trip(tmp_path):
     h = tiny_hyper()
-    m = init_meta_model(5, 2, h, seed=8)
-    m.actor_opt.lr, m.critic_opt.lr = 2e-4, 3e-3
+    m = with_meta_adam(init_meta_model(5, 2, h, seed=8), h)
     rng = np.random.default_rng(0)
     apply_meta_update(
         m,
@@ -473,9 +477,7 @@ def test_save_load_meta_model_round_trip(tmp_path):
     assert back.critic_vec.shape == (7 * 8 + 8 + 8 * 1 + 1,)
     assert np.array_equal(back.actor_vec, m.actor_vec)
     assert np.array_equal(back.critic_vec, m.critic_vec)
-    assert back.actor_opt.step_count == 1
-    assert back.actor_opt.lr == 2e-4 and back.critic_opt.lr == 3e-3
-    assert np.array_equal(back.critic_opt.m, m.critic_opt.m)
+    assert back.actor_opt is None and back.critic_opt is None  # not stored
 
 
 def test_save_load_meta_model_path_without_suffix(tmp_path):

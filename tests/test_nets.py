@@ -395,19 +395,26 @@ def test_vector_round_trip():
         nets.set_params_from_vector(net, vec[:-1])
 
 
-def test_adam_state_blob_round_trip(tmp_path):
-    p = np.zeros(9)
-    state = nets.init_adam(p, lr=5e-3, beta1=0.8)
-    nets.adam_step(p, np.ones(9), state)
-    path = tmp_path / "opt.npz"
-    nets.save_checkpoint(path, {"note": "x"}, opt=state, params=p)
+def test_checkpoint_header_and_arrays_round_trip(tmp_path):
+    p = np.linspace(-1.0, 1.0, 9)
+    path = tmp_path / "ckpt.npz"
+    nets.save_checkpoint(path, {"note": "x"}, params=p)
     header, arrays = nets.load_checkpoint(path)
-    back = arrays["opt"]
     assert header == {"format_version": nets.CHECKPOINT_VERSION, "note": "x"}
-    assert back.step_count == 1 and back.lr == 5e-3 and back.beta1 == 0.8
-    assert np.array_equal(back.m, state.m)
-    assert np.array_equal(back.v, state.v)
+    assert arrays.keys() == {"params"}
     assert np.array_equal(arrays["params"], p)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"a": 1}, nets.init_adam(np.zeros(3)), np.array([1.0, None], dtype=object)],
+    ids=["dict", "adam-state", "object-array"],
+)
+def test_checkpoint_refuses_values_that_need_pickling(tmp_path, value):
+    # load_checkpoint reads without pickle, so such a file could not be read back.
+    with pytest.raises(ContractViolation, match="note"):
+        nets.save_checkpoint(tmp_path / "ckpt.npz", {}, params=np.zeros(2), note=value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
