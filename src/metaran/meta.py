@@ -7,6 +7,10 @@ sample evaluated at the adapted parameters. The meta parameters take one Adam
 step on the task-summed query gradients.
 """
 
+import json
+import os
+import uuid
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +19,7 @@ from . import mdp, nets
 from .ddpg import (DdpgAgent, Hyper, ReplayBuffer, evaluate_policy, init_actor_critic,
                    run_episode, sample_batch)
 from .episode import TaskEnv
-from .errors import ConfigurationError, TrainingDivergence
+from .errors import ConfigurationError, ContractViolation, TrainingDivergence
 from .mdp import TaskSpec
 from .seeding import derive_rng, derive_seed
 
@@ -279,25 +283,71 @@ def run_baseline(
 
 # -- checkpointing ---------------------------------------------------------
 
+# Format of every model checkpoint, meta or adapted: an npz archive of a JSON
+# header {"format_version": CHECKPOINT_VERSION} and the two parameter vectors.
+CHECKPOINT_VERSION = 3
+CHECKPOINT_VECTORS = ("actor_vec", "critic_vec")
+
 
 def save_meta_model(path, meta: MetaModel) -> None:
-    nets.save_checkpoint(
-        path, {},
-        actor_vec=meta.actor_vec,
-        critic_vec=meta.critic_vec,
-    )
+    """Write the model's two vectors to path, replacing the file there only
+    once it is written whole.
+
+    A vector whose array form needs pickling (object dtype) raises
+    ContractViolation before any file is made: load_meta_model refuses pickles.
+    """
+    arrays = {name: np.asanyarray(getattr(meta, name)) for name in CHECKPOINT_VECTORS}
+    pickled = [name for name, value in arrays.items() if value.dtype.hasobject]
+    if pickled:
+        raise ContractViolation(f"checkpoint values {pickled} are not plain arrays")
+    # Written whole or not at all: into a new file beside the target, created
+    # with the mode a plain open() gives, then renamed over it.
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:  # a file handle keeps np.savez from adding ".npz"
+            np.savez(fh, header=json.dumps({"format_version": CHECKPOINT_VERSION}), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_meta_model(path) -> MetaModel:
-    """A model checkpoint, meta or adapted, as save_meta_model writes it."""
-    _, arrays = nets.load_checkpoint(path)
-    if arrays.keys() != {"actor_vec", "critic_vec"}:  # such as an agent's target networks
+    """A model checkpoint, meta or adapted, as save_meta_model writes it.
+
+    Raises ConfigurationError naming the file unless it is a readable npz
+    archive with a JSON-object header that carries CHECKPOINT_VERSION, and
+    exactly the two vectors, each a 1-D array of finite real floats; a missing
+    file raises FileNotFoundError.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):  # one bare array, as np.save writes
+            raise ValueError("an .npy array, not an .npz archive")
+        with data:
+            header = json.loads(str(data["header"])) if "header" in data.files else {}
+            arrays = {k: data[k] for k in data.files if k != "header"}
+        if not isinstance(header, dict):
+            raise ValueError("a header that is not a JSON object")
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:  # truncated, empty, not npz
+        raise ConfigurationError(
+            f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})"
+        ) from exc
+    version = header.get("format_version")
+    if version != CHECKPOINT_VERSION:
+        raise ConfigurationError(
+            f"{path}: checkpoint format version {version!r} is not supported "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
+    if arrays.keys() != set(CHECKPOINT_VECTORS):  # such as an agent's target networks
         raise ConfigurationError(f"{path}: not a model checkpoint (arrays {sorted(arrays)})")
-    model = MetaModel(**arrays)
-    for name in ("actor_vec", "critic_vec"):
-        vec = getattr(model, name)
+    for name in CHECKPOINT_VECTORS:
+        vec = arrays[name]
         if vec.dtype.kind != "f":
             raise ConfigurationError(f"{path}: {name} is not a floating-point array ({vec.dtype})")
+        if vec.ndim != 1:
+            raise ConfigurationError(f"{path}: {name} is not a 1-D array (shape {vec.shape})")
         if not np.isfinite(vec).all():
             raise ConfigurationError(f"{path}: {name} has non-finite entries")
-    return model
+    return MetaModel(**arrays)

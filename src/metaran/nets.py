@@ -15,10 +15,6 @@ set_params_from_vector compute in, and return, the network's dtype; Adam
 moments take the dtype of the parameters they follow.
 """
 
-import json
-import os
-import uuid
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +26,6 @@ from .errors import ConfigurationError, ContractViolation
 KERNEL_BLOCK = 32_768
 # Network dtypes: float64 is the reference, float32 the fast opt-in.
 DTYPES = ("float64", "float32")
-
-# Format of every npz checkpoint (model records). load_checkpoint
-# rejects any other version, and files without a header, as unreadable.
-CHECKPOINT_VERSION = 3
 
 
 def _layer_views(sizes: tuple, flat: np.ndarray):
@@ -237,60 +229,3 @@ def set_params_from_vector(net: DenseNetwork, vec: np.ndarray) -> None:
             f"vector shape {vec.shape} != parameter shape {net.flat.shape}"
         )
     net.flat[...] = vec
-
-
-# -- checkpoints -------------------------------------------------------------
-
-
-def save_checkpoint(path, header: dict, **arrays) -> None:
-    """One npz: a JSON header (with format_version) plus named arrays,
-    replacing the file at path only once it is written whole.
-
-    A value whose array form needs pickling (object dtype) raises
-    ContractViolation before any file is made: load_checkpoint refuses pickles.
-    """
-    head = {"format_version": CHECKPOINT_VERSION, **header}
-    out = {name: np.asanyarray(value) for name, value in arrays.items()}
-    pickled = [name for name, value in out.items() if value.dtype.hasobject]
-    if pickled:
-        raise ContractViolation(f"checkpoint values {pickled} are not plain arrays")
-    # Written whole or not at all: into a new file beside the target, created
-    # with the mode a plain open() gives, then renamed over it.
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, "xb") as fh:  # a file handle keeps np.savez from adding ".npz"
-            np.savez(fh, header=json.dumps(head), **out)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def load_checkpoint(path):
-    """Inverse of save_checkpoint: (header, arrays).
-
-    Raises ConfigurationError naming the file unless it is a readable npz
-    archive with a JSON-object header that carries CHECKPOINT_VERSION; a
-    missing file raises FileNotFoundError.
-    """
-    try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):  # one bare array, as np.save writes
-            raise ValueError("an .npy array, not an .npz archive")
-        with data:
-            header = json.loads(str(data["header"])) if "header" in data.files else {}
-            arrays = {k: data[k] for k in data.files if k != "header"}
-        if not isinstance(header, dict):
-            raise ValueError("a header that is not a JSON object")
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:  # truncated, empty, not npz
-        raise ConfigurationError(
-            f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})"
-        ) from exc
-    version = header.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ConfigurationError(
-            f"{path}: checkpoint format version {version!r} is not supported "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
-    return header, arrays

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from metaran import cli, meta, nets
+from metaran import cli, meta
 from metaran.ddpg import DdpgAgent, evaluate_policy
 from metaran.errors import ConfigurationError
 from metaran.harness import MetricsLog, default_config
@@ -198,10 +198,11 @@ def test_an_old_agent_checkpoint_names_the_file(tmp_path):
     agent = DdpgAgent(*meta.task_dims(cfg.new_task_spec()), cfg.hyper(),
                       np.random.default_rng(0))
     ckpt = tmp_path / "adapted_agent_seed0.npz"
-    nets.save_checkpoint(
+    np.savez(
         ckpt,
-        {"obs_dim": agent.obs_dim, "act_dim": agent.act_dim,
-         "hyper": dataclasses.asdict(agent.hyper), "noise_std": agent.noise_std},
+        header=json.dumps({"format_version": 3, "obs_dim": agent.obs_dim,
+                           "act_dim": agent.act_dim, "hyper": dataclasses.asdict(agent.hyper),
+                           "noise_std": agent.noise_std}),
         actor=agent.actor.flat, critic=agent.critic.flat,
         target_actor=agent.target_actor.flat, target_critic=agent.target_critic.flat,
         actor_opt_m=agent.actor_opt.m, actor_opt_v=agent.actor_opt.v,

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from metaran import ddpg, harness, mdp, meta, nets
 from metaran.cell import CellConfig
 from metaran.episode import TaskEnv
-from metaran.errors import ConfigurationError
+from metaran.errors import ConfigurationError, ContractViolation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "metaran"
@@ -402,12 +402,15 @@ def test_both_profiles_run_in_float32_against_a_float64_reference():
     assert ddpg.Hyper().dtype == "float64"
 
 
-# -- checkpoint versions -----------------------------------------------------
+# -- checkpoints -------------------------------------------------------------
+
+
+def _model(seed=0):
+    return meta.init_meta_model(3, 2, ddpg.Hyper(hidden_sizes=(8,)), seed=seed)
 
 
 def _meta_checkpoint(path):
-    hyper = ddpg.Hyper(hidden_sizes=(8,))
-    meta.save_meta_model(path, meta.init_meta_model(3, 2, hyper, seed=0))
+    meta.save_meta_model(path, _model())
 
 
 def _rewrite_header(path, edit):
@@ -433,15 +436,14 @@ def _no_version(header):
 
 
 @pytest.mark.parametrize("edit", [_version_one, _version_two, _no_version])
-@pytest.mark.parametrize("save, load", [(_meta_checkpoint, meta.load_meta_model)])
-def test_loaders_reject_other_checkpoint_versions(tmp_path, save, load, edit):
+def test_loaders_reject_other_checkpoint_versions(tmp_path, edit):
     path = tmp_path / "ckpt.npz"
-    save(path)
-    load(path)  # the unedited file loads
+    _meta_checkpoint(path)
+    meta.load_meta_model(path)  # the unedited file loads
     version = _rewrite_header(path, edit).get("format_version")
     with pytest.raises(ConfigurationError,
                        match=re.escape(f"{path}: checkpoint format version {version!r} ")):
-        load(path)
+        meta.load_meta_model(path)
 
 
 def _list_header(header, arrays):
@@ -476,9 +478,9 @@ def test_loaders_reject_malformed_checkpoints(tmp_path, edit):
 def test_meta_checkpoint_header_has_no_layer_sizes(tmp_path):
     path = tmp_path / "meta.npz"
     _meta_checkpoint(path)
-    header, arrays = nets.load_checkpoint(path)
-    assert set(header) == {"format_version"}
-    assert arrays.keys() == {"actor_vec", "critic_vec"}  # no optimizer state
+    with np.load(path, allow_pickle=False) as data:
+        assert json.loads(str(data["header"])) == {"format_version": 3}
+        assert data.files == ["header", "actor_vec", "critic_vec"]  # no optimizer state
 
 
 def _npy_bytes(data):
@@ -505,7 +507,7 @@ def test_unreadable_checkpoint_names_the_file(tmp_path, damage):
 
 @pytest.mark.parametrize("name", ["actor_vec", "critic_vec"])
 def test_checkpoint_with_non_finite_parameters_names_the_file(tmp_path, name):
-    m = meta.init_meta_model(3, 2, ddpg.Hyper(hidden_sizes=(8,)), seed=0)
+    m = _model()
     getattr(m, name)[1] = np.nan
     path = tmp_path / "meta.npz"
     meta.save_meta_model(path, m)
@@ -518,7 +520,7 @@ def test_checkpoint_with_non_finite_parameters_names_the_file(tmp_path, name):
 @pytest.mark.parametrize("name", ["actor_vec", "critic_vec"])
 def test_checkpoint_with_parameters_that_are_not_real_floats_names_the_file(tmp_path, name,
                                                                             dtype):
-    m = meta.init_meta_model(3, 2, ddpg.Hyper(hidden_sizes=(8,)), seed=0)
+    m = _model()
     setattr(m, name, getattr(m, name).astype(dtype))
     path = tmp_path / "meta.npz"
     meta.save_meta_model(path, m)
@@ -527,10 +529,62 @@ def test_checkpoint_with_parameters_that_are_not_real_floats_names_the_file(tmp_
         meta.load_meta_model(path)
 
 
-@pytest.mark.parametrize("load", [meta.load_meta_model])
-def test_loaders_reject_headerless_version_one_layout(tmp_path, load):
+@pytest.mark.parametrize("shape", [(-1, 1), ()], ids=["column", "scalar"])
+@pytest.mark.parametrize("name", ["actor_vec", "critic_vec"])
+def test_checkpoint_with_parameters_that_are_not_vectors_names_the_file(tmp_path, name, shape):
+    # Either shape would otherwise fail later, in the network, without the file's name.
+    m = _model()
+    vec = getattr(m, name)
+    setattr(m, name, (vec if shape else vec[:1]).reshape(shape))
+    path = tmp_path / "meta.npz"
+    meta.save_meta_model(path, m)
+    with pytest.raises(ConfigurationError,
+                       match=f"{re.escape(str(path))}: {name} is not a 1-D array"):
+        meta.load_meta_model(path)
+
+
+def test_loaders_reject_headerless_version_one_layout(tmp_path):
     # Version-1 files stored format_version as an array and had no header.
     path = tmp_path / "old.npz"
     np.savez(path, format_version=1, actor_vec=np.zeros(3), critic_vec=np.zeros(3))
     with pytest.raises(ConfigurationError):
-        load(path)
+        meta.load_meta_model(path)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"a": 1}, nets.init_adam(np.zeros(3)), np.array([1.0, None], dtype=object)],
+    ids=["dict", "adam-state", "object-array"],
+)
+def test_checkpoint_refuses_values_that_need_pickling(tmp_path, value):
+    # load_meta_model reads without pickle, so such a file could not be read back.
+    m = _model()
+    m.critic_vec = value
+    with pytest.raises(ContractViolation, match="critic_vec"):
+        meta.save_meta_model(tmp_path / "ckpt.npz", m)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.npz"
+    _meta_checkpoint(path)
+    before = path.read_bytes()
+
+    def torn_savez(fh, **arrays):  # a write cut short, as by a full disk
+        fh.write(b"PK\x03\x04 torn")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(np, "savez", torn_savez)
+    with pytest.raises(OSError, match="No space"):
+        meta.save_meta_model(path, _model(seed=1))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
+
+def test_checkpoint_file_has_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain.npz"
+    with open(plain, "wb"):
+        pass
+    path = tmp_path / "model.npz"
+    _meta_checkpoint(path)
+    assert path.stat().st_mode == plain.stat().st_mode

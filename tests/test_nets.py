@@ -393,50 +393,3 @@ def test_vector_round_trip():
     assert np.array_equal(nets.params_as_vector(other), vec)
     with pytest.raises(ContractViolation):
         nets.set_params_from_vector(net, vec[:-1])
-
-
-def test_checkpoint_header_and_arrays_round_trip(tmp_path):
-    p = np.linspace(-1.0, 1.0, 9)
-    path = tmp_path / "ckpt.npz"
-    nets.save_checkpoint(path, {"note": "x"}, params=p)
-    header, arrays = nets.load_checkpoint(path)
-    assert header == {"format_version": nets.CHECKPOINT_VERSION, "note": "x"}
-    assert arrays.keys() == {"params"}
-    assert np.array_equal(arrays["params"], p)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [{"a": 1}, nets.init_adam(np.zeros(3)), np.array([1.0, None], dtype=object)],
-    ids=["dict", "adam-state", "object-array"],
-)
-def test_checkpoint_refuses_values_that_need_pickling(tmp_path, value):
-    # load_checkpoint reads without pickle, so such a file could not be read back.
-    with pytest.raises(ContractViolation, match="note"):
-        nets.save_checkpoint(tmp_path / "ckpt.npz", {}, params=np.zeros(2), note=value)
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
-    path = tmp_path / "model.npz"
-    nets.save_checkpoint(path, {"note": "old"}, params=np.arange(4.0))
-    before = path.read_bytes()
-
-    def torn_savez(fh, **arrays):  # a write cut short, as by a full disk
-        fh.write(b"PK\x03\x04 torn")
-        raise OSError("No space left on device")
-
-    monkeypatch.setattr(np, "savez", torn_savez)
-    with pytest.raises(OSError, match="No space"):
-        nets.save_checkpoint(path, {"note": "new"}, params=np.zeros(4))
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
-
-
-def test_checkpoint_file_has_the_mode_of_a_plain_open(tmp_path):
-    plain = tmp_path / "plain.npz"
-    with open(plain, "wb"):
-        pass
-    path = tmp_path / "model.npz"
-    nets.save_checkpoint(path, {}, params=np.zeros(2))
-    assert path.stat().st_mode == plain.stat().st_mode
