@@ -34,14 +34,13 @@ def dbm_to_mw(dbm: float) -> float:
 
 
 @dataclass(frozen=True)
-class CellConfig:
-    """Static per-cell parameters. Powers in mW, bandwidth in Hz."""
+class CellBlock:
+    """Static per-cell parameters, the config file's cell block. Powers in dBm, bandwidth in Hz."""
 
-    num_rbs: int = 60
     num_ues: int = 30
     rb_bandwidth: float = 200e3
-    p_min: float = dbm_to_mw(3.0)
-    p_max: float = dbm_to_mw(6.0)
+    p_min_dbm: float = 3.0
+    p_max_dbm: float = 6.0
     path_loss_exp: float = 3.0
     noise_psd_dbm_hz: float = -173.0
     cell_radius_m: float = 500.0
@@ -49,14 +48,19 @@ class CellConfig:
     neighbor_occupancy: float = 0.5
 
     def __post_init__(self):
-        for name in ("num_rbs", "num_ues", "rb_bandwidth", "path_loss_exp"):
+        for name in ("num_ues", "rb_bandwidth", "path_loss_exp"):
             if not getattr(self, name) > 0:  # NaN too
                 raise ConfigurationError(f"{name} must be positive")
         # step_mobility mirrors a UE at distance d back to 2R - d, which lies in
         # the disc only while d <= 3R; a step moves a UE under SPEED_MAX.
         if not self.cell_radius_m >= SPEED_MAX / 2:
             raise ConfigurationError(f"cell_radius_m must be >= {SPEED_MAX / 2} m")
-        for name in ("p_min", "p_max", "path_loss_exp", "cell_radius_m"):
+        for name in ("p_min_dbm", "p_max_dbm"):
+            try:
+                getattr(self, name.removesuffix("_dbm"))
+            except OverflowError:
+                raise ConfigurationError(f"{name} overflows as a power in mW") from None
+        for name in ("p_min_dbm", "p_max_dbm", "path_loss_exp", "cell_radius_m"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
         with np.errstate(all="ignore"):  # a non-finite power is rejected here, not warned about
@@ -70,6 +74,14 @@ class CellConfig:
             raise ConfigurationError("neighbor_occupancy must be in [0, 1]")
         if self.num_neighbors < 0:
             raise ConfigurationError("num_neighbors must be >= 0")
+
+    @cached_property
+    def p_min(self) -> float:  # mW
+        return dbm_to_mw(self.p_min_dbm)
+
+    @cached_property
+    def p_max(self) -> float:  # mW
+        return dbm_to_mw(self.p_max_dbm)
 
     @cached_property
     def noise_rb_mw(self) -> float:
@@ -89,6 +101,18 @@ class CellConfig:
         ru = np.vstack([np.zeros((1, 2)), self.neighbor_positions()])
         ru.flags.writeable = False
         return ru
+
+
+@dataclass(frozen=True)
+class CellConfig(CellBlock):
+    """A cell and the number of resource blocks it schedules."""
+
+    num_rbs: int = 60
+
+    def __post_init__(self):
+        if not self.num_rbs > 0:
+            raise ConfigurationError("num_rbs must be positive")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ def _resolve_config(args):
     if args.config:
         config = load_config(args.config)
     else:
-        config = default_config(args.profile)
+        config = default_config(args.profile or "toy")
     changes = {}
     if args.seed is not None:
         changes["seeds"] = (args.seed,)
@@ -45,11 +45,11 @@ def _load_model(path, new_task, hyper) -> meta_mod.MetaModel:
 
 
 def _add_common(parser):
-    parser.add_argument("--config", metavar="PATH", help="JSON experiment config")
-    parser.add_argument(
-        "--profile", choices=("toy", "paper"), default="toy",
-        help="built-in config profile (ignored with --config)",
-    )
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", metavar="PATH", help="JSON experiment config")
+    # No default: argparse lets the default object itself (an interned "toy") pass the group.
+    source.add_argument("--profile", choices=("toy", "paper"),
+                        help="built-in config profile (default: toy)")
     parser.add_argument("--seed", type=int, metavar="N", help="run a single seed")
     parser.add_argument("--out", metavar="DIR", help="output directory")
 

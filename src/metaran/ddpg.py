@@ -55,10 +55,10 @@ class Hyper:
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         for name in ("actor_lr", "noise_std", "noise_floor", "warmup_transitions"):
-            if not getattr(self, name) >= 0:  # NaN too
-                raise ConfigurationError(f"{name} must be >= 0")
-        if not self.lr > 0:
-            raise ConfigurationError("lr must be > 0")
+            if not 0 <= getattr(self, name) < np.inf:  # NaN too
+                raise ConfigurationError(f"{name} must be finite and >= 0")
+        if not 0 < self.lr < np.inf:
+            raise ConfigurationError("lr must be finite and > 0")
         for name in ("tau", "noise_decay"):
             if not (0.0 < getattr(self, name) <= 1.0):
                 raise ConfigurationError(f"{name} must be in (0, 1]")

@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from . import meta as meta_mod
-from .cell import CellConfig, dbm_to_mw
+from .cell import CellBlock, CellConfig
 from .ddpg import Hyper, layer_sizes
 from .errors import ConfigurationError
 from .mdp import TaskSpec, action_dim, observation_dim
-from .meta import MetaSchedule
+from .meta import MetaSchedule, ScheduleBlock
 from .nets import num_params
 
 SCHEMA_VERSION = 1
@@ -36,38 +36,10 @@ METHOD_CSV = re.compile(rf"({'|'.join(METHODS)})_seed(0|[1-9]\d*)\.csv")
 
 
 @dataclass(frozen=True)
-class CellBlock:
-    num_ues: int = 30
-    rb_bandwidth: float = 200e3
-    p_min_dbm: float = 3.0
-    p_max_dbm: float = 6.0
-    path_loss_exp: float = 3.0
-    noise_psd_dbm_hz: float = -173.0
-    cell_radius_m: float = 500.0
-    num_neighbors: int = 2
-    neighbor_occupancy: float = 0.5
-
-    def __post_init__(self):
-        for name in ("p_min_dbm", "p_max_dbm"):
-            try:
-                dbm_to_mw(getattr(self, name))
-            except OverflowError:
-                raise ConfigurationError(f"{name} overflows as a power in mW") from None
-
-
-@dataclass(frozen=True)
 class TaskBlock:
     num_rbs: int
     demand_min: float
     demand_max: float
-
-
-@dataclass(frozen=True)
-class ScheduleBlock:
-    outer_iters: int = 100
-    eval_episodes: int = 10
-    meta_actor_lr: float = 0.0  # 0 means "same as agent actor step size"
-    meta_critic_lr: float = 0.0  # 0 means "same as agent critic step size"
 
 
 @dataclass(frozen=True)
@@ -99,15 +71,10 @@ class ExperimentConfig:
             raise ConfigurationError("tasks: at least one donor task is required")
         if self.donor_budget < 0:
             raise ConfigurationError(f"donor_budget must be >= 0, got {self.donor_budget}")
-        # Build every runtime object here, so that the checks of CellConfig,
-        # TaskSpec and MetaSchedule reject a bad block at load. The cell block
-        # is checked on its own first (any valid num_rbs will do), so that a
-        # task's error names only the task's fields.
-        with _block("cell"):
-            self.cell_config(1)
+        # The cell and schedule blocks check themselves; a task, by building its TaskSpec.
         self.donor_task_specs()
         self.new_task_spec()
-        if self.meta_schedule().adapt_budget < 1:
+        if self.schedule.adapt_budget < 1:
             raise ConfigurationError(
                 f"schedule: outer_iters {self.schedule.outer_iters} leaves no adaptation "
                 "episode (the budget is 10% of outer_iters, halves rounded up)"
@@ -144,9 +111,8 @@ class ExperimentConfig:
     # -- derived objects ---------------------------------------------------
 
     def cell_config(self, num_rbs: int) -> CellConfig:
-        fields = dict(vars(self.cell))  # CellConfig's names, the powers in dBm
-        return CellConfig(num_rbs=num_rbs, p_min=dbm_to_mw(fields.pop("p_min_dbm")),
-                          p_max=dbm_to_mw(fields.pop("p_max_dbm")), **fields)
+        # asdict, not vars: vars would also hold the block's cached powers in mW.
+        return CellConfig(num_rbs=num_rbs, **dataclasses.asdict(self.cell))
 
     def _task_spec(self, block: str, t: TaskBlock, task_id: int) -> TaskSpec:
         with _block(block):
@@ -159,8 +125,7 @@ class ExperimentConfig:
         return self._task_spec("new_task", self.new_task, len(self.tasks))
 
     def meta_schedule(self) -> MetaSchedule:
-        with _block("schedule"):
-            return MetaSchedule(num_tasks=len(self.tasks), **dataclasses.asdict(self.schedule))
+        return MetaSchedule(num_tasks=len(self.tasks), **dataclasses.asdict(self.schedule))
 
     def hyper(self) -> Hyper:
         return self.agent

@@ -11,7 +11,7 @@ import json
 import os
 import uuid
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,10 +28,11 @@ ADAPT_EVAL_EPISODES = 3
 
 
 @dataclass(frozen=True)
-class MetaSchedule:
-    outer_iters: int  # T
+class ScheduleBlock:
+    """The meta schedule, the config file's schedule block."""
+
+    outer_iters: int = 100  # T
     eval_episodes: int = 10  # T_e, episodes per task per outer iteration
-    num_tasks: int = 6  # N_g
     # Step sizes of the meta-level Adam updates; 0 means "reuse the inner
     # actor/critic step sizes". A meta critic faster than the meta actor keeps
     # the shared policy from racing past regions the value estimate has not
@@ -40,16 +41,23 @@ class MetaSchedule:
     meta_critic_lr: float = 0.0
 
     def __post_init__(self):
-        for name, least in (("outer_iters", 1), ("eval_episodes", 1), ("num_tasks", 1),
-                            ("meta_actor_lr", 0), ("meta_critic_lr", 0)):
-            if not getattr(self, name) >= least:  # NaN too
-                raise ConfigurationError(f"{name} must be >= {least}")
+        for f in fields(self):  # a count (MetaSchedule.num_tasks too) >= 1, a step size >= 0
+            least = 1 if f.type is int else 0
+            if not least <= getattr(self, f.name) < np.inf:  # NaN too
+                raise ConfigurationError(f"{f.name} must be finite and >= {least}")
 
     @property
     def adapt_budget(self) -> int:
         """Adaptation episodes on a new task: 10% of the outer iterations,
         halves rounded up."""
         return (self.outer_iters + 5) // 10
+
+
+@dataclass(frozen=True)
+class MetaSchedule(ScheduleBlock):
+    """The schedule and the number of donor tasks it runs."""
+
+    num_tasks: int = 6  # N_g
 
 
 @dataclass

@@ -14,7 +14,7 @@ import pytest
 
 from metaran import cell, harness, mdp, meta, nets
 from metaran.cell import CellConfig
-from metaran.ddpg import DdpgAgent, Hyper, run_episode
+from metaran.ddpg import DdpgAgent, Hyper, evaluate_policy, run_episode
 from metaran.episode import TaskEnv
 from metaran.mdp import TaskSpec, decode_action
 from metaran.seeding import derive_rng
@@ -352,3 +352,36 @@ def test_cdf_and_gain_fixtures():
     assert harness.five_number_summary([5, 1, 4, 2, 3]) == (1.0, 2.0, 3.0, 4.0, 5.0)
     assert harness.relative_gain(1.198, 1.0) == pytest.approx(0.198)
     assert time.perf_counter() - start < 1.0
+
+
+# -- 11. training does not unlearn on the toy new task (< 5 min) ---------------
+
+UNLEARN_FOUND = (
+    "the learner gets worse the longer it trains: the critic's bootstrap target "
+    "r + gamma * Q'(s', mu'(s')) adds target-network noise to a reward the step already "
+    "scores, in a world that no action changes (ROADMAP item 17)"
+)
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason=UNLEARN_FOUND)
+def test_training_does_not_unlearn_on_the_toy_new_task():
+    # Scratch adaptation's agent and training env, scored after episode 25 and
+    # after episode 400 on the task's evaluation world, so on the same draws.
+    start = time.perf_counter()
+    cfg = harness.default_config("toy")
+    task, hyper = cfg.new_task_spec(), cfg.hyper()
+    improved = 0
+    for seed in range(5):
+        init = meta.random_init_model(task, hyper, seed)
+        agent, env = meta._task_agent(init, task, hyper, seed, "adapt")
+        scores = {}
+        for episode in range(1, 401):
+            run_episode(agent, env, train=True)
+            if episode in (25, 400):
+                scores[episode], _ = evaluate_policy(agent, meta.eval_env(task, seed), 3)
+        improved += scores[400] > scores[25]
+        print(f"unlearning seed {seed}: episode 25 {scores[25]:.3f} "
+              f"episode 400 {scores[400]:.3f}")
+    assert improved >= 4, f"episode 400 beat episode 25 in only {improved}/5 seeds"
+    assert time.perf_counter() - start < 300.0

@@ -51,8 +51,8 @@ def test_noise_power_per_rb_matches_hand_formula():
         dict(num_rbs=0),
         dict(num_ues=0),
         dict(cell_radius_m=0.0),
-        dict(p_min=0.0),
-        dict(p_min=5.0, p_max=4.0),
+        dict(p_min_dbm=-4000.0),  # underflows to 0 mW
+        dict(p_min_dbm=7.0, p_max_dbm=6.0),
         dict(path_loss_exp=0.0),
         dict(rb_bandwidth=0.0),
         dict(neighbor_occupancy=1.5),
@@ -64,8 +64,9 @@ def test_noise_power_per_rb_matches_hand_formula():
         dict(noise_psd_dbm_hz=4000.0),  # the per-RB noise power overflows to inf
         dict(noise_psd_dbm_hz=-4000.0),  # and here underflows to 0
         dict(cell_radius_m=5.0),  # below SPEED_MAX / 2: the edge mirror can leave the disc
-        dict(p_max=float("inf")),  # reset's rng.uniform(p_min, p_max) would overflow
-        dict(p_min=float("inf"), p_max=float("inf")),
+        dict(p_max_dbm=float("inf")),  # reset's rng.uniform(p_min, p_max) would overflow
+        dict(p_min_dbm=float("inf"), p_max_dbm=float("inf")),
+        dict(p_max_dbm=4000.0),  # overflows as a power in mW
         dict(path_loss_exp=float("inf")),
         dict(cell_radius_m=float("inf")),
     ],
@@ -257,13 +258,13 @@ def test_empty_allocation_gives_zero_rates():
 def _rate_inputs(draw):
     n = draw(st.integers(1, 8))
     k = draw(st.integers(1, 16))
-    p_min = draw(st.floats(1e-6, 1e6))
+    p_min_dbm = draw(st.floats(-60.0, 60.0))
     cfg = CellConfig(
         num_ues=n,
         num_rbs=k,
         rb_bandwidth=draw(st.floats(1.0, 1e9)),
-        p_min=p_min,
-        p_max=p_min * draw(st.floats(1.0, 1e6)),
+        p_min_dbm=p_min_dbm,
+        p_max_dbm=p_min_dbm + draw(st.floats(0.0, 60.0)),
         path_loss_exp=draw(st.floats(0.5, 8.0)),
         noise_psd_dbm_hz=draw(st.floats(-250.0, -100.0)),
         cell_radius_m=draw(st.floats(10.0, 1e5)),

@@ -225,6 +225,17 @@ def test_eval_rejects_a_count_of_episodes_below_one_before_any_work(tmp_path, ca
     assert "--episodes" in capsys.readouterr().err
 
 
+def test_profile_and_config_together_are_rejected_at_parse_time(tmp_path, capsys):
+    # The checkpoint does not exist: the arguments are rejected before any work.
+    config_path, _ = write_small_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["eval", "--config", str(config_path), "--profile", "toy",
+                  "--checkpoint", str(tmp_path / "missing.npz")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and "--profile" in err
+
+
 def test_summarize_of_a_missing_directory_names_it(tmp_path):
     missing = tmp_path / "no_such_run"
     with pytest.raises(ConfigurationError, match=f"{re.escape(str(missing))}: no such directory"):

@@ -74,6 +74,9 @@ def test_hyper_validation():
         Hyper(gamma=1.0)
     with pytest.raises(ConfigurationError):
         Hyper(buffer_capacity=101)  # must be even
+    for name in ("lr", "actor_lr", "noise_std", "noise_floor"):
+        with pytest.raises(ConfigurationError, match=name):
+            Hyper(**{name: float("inf")})
 
 
 def test_effective_actor_lr_defaults_to_critic_lr():

@@ -389,7 +389,7 @@ def test_rejected_action_leaves_the_env_untouched():
 def test_equal_power_bounds_give_a_finite_observation_and_reward():
     # A fixed-power cell (p_min == p_max) is valid; its power channel reads -1.
     task = harness.default_config("toy").donor_task_specs()[0]
-    cfg = replace(task.cell_config, p_max=task.cell_config.p_min)
+    cfg = replace(task.cell_config, p_max_dbm=task.cell_config.p_min_dbm)
     env = TaskEnv(replace(task, cell_config=cfg), np.random.default_rng(0))
     n = cfg.num_ues
     assert np.array_equal(env.reset()[3 + n:], np.full(n, -1.0))

@@ -245,11 +245,11 @@ def test_reward_range_random_inputs():
 def _reward_inputs(draw):
     n = draw(st.integers(1, 8))
     k = draw(st.integers(1, 16))
-    p_min = draw(st.floats(1e-6, 1e6))
-    p_max = p_min * draw(st.floats(1.0, 1e6))
+    p_min_dbm = draw(st.floats(-60.0, 60.0))
+    p_max_dbm = p_min_dbm + draw(st.floats(0.0, 60.0))
     demand_min = draw(st.floats(0.0, 1e12))
     demand_max = demand_min + draw(st.floats(1e-3, 1e12))
-    cfg = CellConfig(num_ues=n, num_rbs=k, p_min=p_min, p_max=p_max)
+    cfg = CellConfig(num_ues=n, num_rbs=k, p_min_dbm=p_min_dbm, p_max_dbm=p_max_dbm)
     task = TaskSpec(demand_min=demand_min, demand_max=demand_max, cell_config=cfg)
     finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
     raw = np.array(draw(st.lists(finite, min_size=2 * n, max_size=2 * n)))

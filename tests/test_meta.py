@@ -67,8 +67,9 @@ def test_schedule_validation_and_budget():
     with pytest.raises(ConfigurationError):
         MetaSchedule(outer_iters=10, meta_actor_lr=-1.0)
     for name in ("meta_actor_lr", "meta_critic_lr"):
-        with pytest.raises(ConfigurationError, match=name):
-            MetaSchedule(outer_iters=10, **{name: float("nan")})
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match=name):
+                MetaSchedule(outer_iters=10, **{name: value})
 
 
 def test_adapt_budget_rounds_every_half_up():
