@@ -1,6 +1,6 @@
-"""DDPG inner learner: replay buffer, actor-critic updates, evaluation."""
+"""DDPG inner learner with a one-step critic: replay buffer, updates, evaluation."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,20 +15,28 @@ class Transition:
     state: np.ndarray
     action: np.ndarray
     reward: float | np.ndarray
+    # Read by no update. It stays, and the buffer keeps it, while the
+    # benchmark's workloads build a four-field Transition (ROADMAP item 14).
     next_state: np.ndarray
+
+
+def check_count(name: str, value) -> None:
+    """Raise ConfigurationError naming the field unless value is an int (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class Hyper:
     """Agent hyperparameters (defaults: evaluation-scale values)."""
 
+    # Discount of the returns run_episode reports; the one-step critic ignores it.
     gamma: float = 0.99
     lr: float = 1e-4
     # Separate (usually smaller) step size for the actor; 0 means "same as
     # lr". A slower actor keeps it from chasing a half-trained critic into
     # saturated corners of the action box.
     actor_lr: float = 0.0
-    tau: float = 0.005
     noise_std: float = 0.2
     noise_decay: float = 0.999
     noise_floor: float = 0.02
@@ -45,6 +53,11 @@ class Hyper:
     dtype: str = "float64"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is int:
+                check_count(f.name, getattr(self, f.name))
+        for i, size in enumerate(self.hidden_sizes):
+            check_count(f"hidden_sizes[{i}]", size)
         if not (0.0 < self.gamma < 1.0):
             raise ConfigurationError("gamma must be in (0, 1)")
         if self.dtype not in nets.DTYPES:
@@ -59,9 +72,8 @@ class Hyper:
                 raise ConfigurationError(f"{name} must be finite and >= 0")
         if not 0 < self.lr < np.inf:
             raise ConfigurationError("lr must be finite and > 0")
-        for name in ("tau", "noise_decay"):
-            if not (0.0 < getattr(self, name) <= 1.0):
-                raise ConfigurationError(f"{name} must be in (0, 1]")
+        if not (0.0 < self.noise_decay <= 1.0):
+            raise ConfigurationError("noise_decay must be in (0, 1]")
         if any(size < 1 for size in self.hidden_sizes):
             raise ConfigurationError("hidden_sizes must all be >= 1")
         if self.buffer_capacity <= 0 or self.buffer_capacity % 2 != 0:
@@ -144,7 +156,7 @@ def init_actor_critic(obs_dim: int, act_dim: int, hyper: Hyper, rng: np.random.G
 
 
 class DdpgAgent:
-    """Actor-critic pair with target networks and Gaussian exploration."""
+    """Actor and one-step critic with Gaussian exploration; no target networks."""
 
     def __init__(self, obs_dim: int, act_dim: int, hyper: Hyper, rng: np.random.Generator):
         self.obs_dim = obs_dim
@@ -152,8 +164,6 @@ class DdpgAgent:
         self.hyper = hyper
         self.rng = rng
         self.actor, self.critic = init_actor_critic(obs_dim, act_dim, hyper, rng)
-        self.target_actor = self.actor.copy()
-        self.target_critic = self.critic.copy()
         self.actor_opt = nets.init_adam(self.actor.flat, lr=hyper.effective_actor_lr)
         self.critic_opt = nets.init_adam(self.critic.flat, lr=hyper.lr)
         self.buffer = ReplayBuffer(hyper.buffer_capacity, obs_dim, act_dim, hyper.dtype)
@@ -162,15 +172,12 @@ class DdpgAgent:
     # -- parameter exchange ------------------------------------------------
 
     def load_vectors(self, actor_vec: np.ndarray, critic_vec: np.ndarray) -> None:
-        """Set online and target networks from flat vectors, cast to the
-        agent's dtype, and restart both optimizers as init_adam would: zero
-        moments, step_count 0, the hyper's step size. All in place, so every
-        array keeps its identity and, in the agent's dtype, nothing is
-        allocated."""
+        """Set both networks from flat vectors, cast to the agent's dtype, and
+        restart both optimizers as init_adam would: zero moments, step_count
+        0, the hyper's step size. All in place, so every array keeps its
+        identity and, in the agent's dtype, nothing is allocated."""
         nets.set_params_from_vector(self.actor, actor_vec)
         nets.set_params_from_vector(self.critic, critic_vec)
-        np.copyto(self.target_actor.flat, self.actor.flat)
-        np.copyto(self.target_critic.flat, self.critic.flat)
         for opt, lr in ((self.actor_opt, self.hyper.effective_actor_lr),
                         (self.critic_opt, self.hyper.lr)):
             opt.m.fill(0)
@@ -196,20 +203,14 @@ class DdpgAgent:
     # -- learning ----------------------------------------------------------
 
     def critic_gradients(self, batch: Transition):
-        """TD-loss value and gradients of the critic on a batch."""
-        h = self.hyper
+        """One-step critic loss mean((Q(s, a) - r)^2) on a batch, and its gradients.
+        No action changes the world, so a bootstrap would add noise and no signal:
+        the bandit case of deterministic policy gradients (Silver et al., ICML 2014)."""
         b = len(batch.reward)
-        next_a, _ = nets.forward(self.target_actor, batch.next_state)
-        next_q, _ = nets.forward(
-            self.target_critic, np.concatenate([batch.next_state, next_a], axis=1)
-        )
-        y = batch.reward + h.gamma * next_q[:, 0]
-        q, tape = nets.forward(
-            self.critic, np.concatenate([batch.state, batch.action], axis=1)
-        )
-        td = q[:, 0] - y
-        loss = float(np.mean(td**2))
-        grads, _ = nets.backward(self.critic, tape, (2.0 * td / b)[:, None], wrt="params")
+        q, tape = nets.forward(self.critic, np.concatenate([batch.state, batch.action], axis=1))
+        err = q[:, 0] - batch.reward
+        loss = float(np.mean(err**2))
+        grads, _ = nets.backward(self.critic, tape, (2.0 * err / b)[:, None], wrt="params")
         return loss, grads
 
     def actor_gradients(self, batch: Transition):
@@ -226,7 +227,7 @@ class DdpgAgent:
         return float(-np.mean(q)), grads
 
     def train_step(self, batch: Transition):
-        """One critic + one actor Adam step on the batch, then soft updates.
+        """One critic + one actor Adam step on the batch.
 
         Each network's loss and gradient are checked before its Adam step, so
         TrainingDivergence leaves that network and its optimizer as they were.
@@ -237,9 +238,6 @@ class DdpgAgent:
         actor_loss, a_grads = self.actor_gradients(batch)
         _check_finite("actor", actor_loss, a_grads)
         nets.adam_step(self.actor.flat, a_grads, self.actor_opt)
-        tau = self.hyper.tau
-        nets.soft_update(self.target_actor.flat, self.actor.flat, tau)
-        nets.soft_update(self.target_critic.flat, self.critic.flat, tau)
         return critic_loss, actor_loss
 
 

@@ -21,7 +21,7 @@ from .mdp import TaskSpec, action_dim, observation_dim
 from .meta import MetaSchedule, ScheduleBlock
 from .nets import num_params
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 1 had agent.tau, which a file may no longer carry
 METHODS = ("meta", "scratch", "tl", "mtl")  # meta, then the baselines
 # A method's final return on a seed is the mean of its last FINAL_SHOTS
 # adaptation shots (all of them when there are fewer): one shot of a few

@@ -2,9 +2,9 @@
 
 Outer loop: for each task in turn, one learner restarts from the shared meta
 parameters, trains for a few episodes on the task's own environment and replay
-buffer (support samples), then reports the gradient of its loss on a query
-sample evaluated at the adapted parameters. The meta parameters take one Adam
-step on the task-summed query gradients.
+buffer (support samples), then reports the gradients of its actor and
+one-step critic losses on a query sample evaluated at the adapted parameters.
+The meta parameters take one Adam step on the task-summed query gradients.
 """
 
 import json
@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import mdp, nets
-from .ddpg import (DdpgAgent, Hyper, ReplayBuffer, evaluate_policy, init_actor_critic,
-                   run_episode, sample_batch)
+from .ddpg import (DdpgAgent, Hyper, ReplayBuffer, check_count, evaluate_policy,
+                   init_actor_critic, run_episode, sample_batch)
 from .episode import TaskEnv
 from .errors import ConfigurationError, ContractViolation, TrainingDivergence
 from .mdp import TaskSpec
@@ -42,6 +42,8 @@ class ScheduleBlock:
 
     def __post_init__(self):
         for f in fields(self):  # a count (MetaSchedule.num_tasks too) >= 1, a step size >= 0
+            if f.type is int:
+                check_count(f.name, getattr(self, f.name))
             least = 1 if f.type is int else 0
             if not least <= getattr(self, f.name) < np.inf:  # NaN too
                 raise ConfigurationError(f"{f.name} must be finite and >= {least}")
@@ -348,7 +350,7 @@ def load_meta_model(path) -> MetaModel:
             f"{path}: checkpoint format version {version!r} is not supported "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    if arrays.keys() != set(CHECKPOINT_VECTORS):  # such as an agent's target networks
+    if arrays.keys() != set(CHECKPOINT_VECTORS):  # such as an old agent checkpoint's
         raise ConfigurationError(f"{path}: not a model checkpoint (arrays {sorted(arrays)})")
     for name in CHECKPOINT_VECTORS:
         vec = arrays[name]

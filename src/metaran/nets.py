@@ -50,9 +50,6 @@ class DenseNetwork:
     def __post_init__(self):
         self.weights, self.biases = _layer_views(self.layer_sizes, self.flat)
 
-    def copy(self) -> "DenseNetwork":
-        return DenseNetwork(self.layer_sizes, self.flat.copy(), self.output_activation)
-
 
 def num_params(layer_sizes) -> int:
     """Length of the flat vector of a network with these layer sizes."""
@@ -205,7 +202,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
 
 
 def soft_update(target: np.ndarray, source: np.ndarray, tau: float) -> np.ndarray:
-    """target <- (1 - tau) * target + tau * source, in place, block by block."""
+    """target <- (1 - tau) * target + tau * source, in place, block by block.
+    No learner calls it; it stays while the benchmark's tracer wraps the name."""
     if target.ndim != 1 or target.shape != source.shape:
         raise ContractViolation("target/source shape mismatch")
     scratch = np.empty(min(KERNEL_BLOCK, target.size), dtype=target.dtype)

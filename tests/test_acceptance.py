@@ -356,15 +356,7 @@ def test_cdf_and_gain_fixtures():
 
 # -- 11. training does not unlearn on the toy new task (< 5 min) ---------------
 
-UNLEARN_FOUND = (
-    "the learner gets worse the longer it trains: the critic's bootstrap target "
-    "r + gamma * Q'(s', mu'(s')) adds target-network noise to a reward the step already "
-    "scores, in a world that no action changes (ROADMAP item 17)"
-)
-
-
 @pytest.mark.slow
-@pytest.mark.xfail(strict=True, reason=UNLEARN_FOUND)
 def test_training_does_not_unlearn_on_the_toy_new_task():
     # Scratch adaptation's agent and training env, scored after episode 25 and
     # after episode 400 on the task's evaluation world, so on the same draws.

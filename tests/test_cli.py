@@ -204,7 +204,8 @@ def test_an_old_agent_checkpoint_names_the_file(tmp_path):
                            "act_dim": agent.act_dim, "hyper": dataclasses.asdict(agent.hyper),
                            "noise_std": agent.noise_std}),
         actor=agent.actor.flat, critic=agent.critic.flat,
-        target_actor=agent.target_actor.flat, target_critic=agent.target_critic.flat,
+        # A fresh agent's target networks equal its online ones.
+        target_actor=agent.actor.flat, target_critic=agent.critic.flat,
         actor_opt_m=agent.actor_opt.m, actor_opt_v=agent.actor_opt.v,
         critic_opt_m=agent.critic_opt.m, critic_opt_v=agent.critic_opt.v,
     )

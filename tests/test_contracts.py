@@ -196,7 +196,7 @@ def test_config_naming_subcarrier_spacing_is_rejected(tmp_path):
      ("warmup_transitions", -600),  # a second spelling of 0
      ("lr", 0.0), ("lr", -1e-3),  # nothing trains, or gradient ascent
      ("actor_lr", -1e-3),  # would silently fall back to lr
-     ("tau", 0.0), ("tau", 2.0), ("noise_decay", 0.0), ("noise_decay", 1.5),
+     ("noise_decay", 0.0), ("noise_decay", 1.5),
      ("noise_std", -0.1), ("noise_std", float("nan")), ("noise_floor", -0.1)],
 )
 def test_config_agent_block_is_checked_at_load(tmp_path, key, value):

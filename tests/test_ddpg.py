@@ -1,5 +1,7 @@
 """Tests for the DDPG learner: buffer, gradients, episode loop."""
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,7 +66,7 @@ class ConstantRewardEnv:
 
 def test_hyper_defaults_match_reference_values():
     h = Hyper()
-    assert (h.gamma, h.lr, h.tau) == (0.99, 1e-4, 0.005)
+    assert (h.gamma, h.lr) == (0.99, 1e-4)
     assert h.batch_size == 128 and h.buffer_capacity == 100_000
     assert h.horizon == 200 and h.hidden_sizes == (300, 400, 400)
 
@@ -77,6 +79,18 @@ def test_hyper_validation():
     for name in ("lr", "actor_lr", "noise_std", "noise_floor"):
         with pytest.raises(ConfigurationError, match=name):
             Hyper(**{name: float("inf")})
+    assert tiny_hyper(batch_size=np.int64(4)).batch_size == 4  # a numpy integer is a count
+
+
+@pytest.mark.parametrize("name, value", [
+    ("batch_size", 4.5), ("buffer_capacity", 64.0), ("horizon", "5"),
+    ("warmup_transitions", float("nan")), ("batch_size", True),
+    ("hidden_sizes", (8, 2.5)),
+])
+def test_hyper_rejects_a_count_that_is_not_an_integer(name, value):
+    where = "hidden_sizes[1]" if name == "hidden_sizes" else name
+    with pytest.raises(ConfigurationError, match=rf"{re.escape(where)} must be an integer"):
+        tiny_hyper(**{name: value})
 
 
 def test_effective_actor_lr_defaults_to_critic_lr():
@@ -203,12 +217,9 @@ def random_batch(agent, b=4, seed=3):
     )
 
 
-def td_loss(agent, batch):
-    next_a, _ = nets.forward(agent.target_actor, batch.next_state)
-    next_q, _ = nets.forward(
-        agent.target_critic, np.concatenate([batch.next_state, next_a], axis=1)
-    )
-    y = batch.reward + agent.hyper.gamma * next_q[:, 0]
+def critic_loss(agent, batch):
+    """The one-step critic's loss: Q(s, a) regressed on the step's reward, y = r."""
+    y = batch.reward
     q, _ = nets.forward(
         agent.critic, np.concatenate([batch.state, batch.action], axis=1)
     )
@@ -244,8 +255,8 @@ def test_critic_gradients_match_finite_differences():
     agent = make_agent(obs_dim=2, act_dim=1, hidden_sizes=(4,))
     batch = random_batch(agent)
     loss, grads = agent.critic_gradients(batch)
-    assert np.isclose(loss, td_loss(agent, batch))
-    fd = finite_diff([agent.critic.flat], lambda: td_loss(agent, batch))
+    assert np.isclose(loss, critic_loss(agent, batch))
+    fd = finite_diff([agent.critic.flat], lambda: critic_loss(agent, batch))
     assert np.allclose(grads, np.concatenate([f.ravel() for f in fd]), rtol=1e-5, atol=1e-8)
 
 
@@ -261,19 +272,29 @@ def test_actor_gradients_match_finite_differences():
 # -- training mechanics ------------------------------------------------------
 
 
-def test_train_step_moves_online_and_target_networks():
+def test_train_step_moves_the_actor_and_the_critic():
     agent = make_agent()
     batch = random_batch(agent, b=agent.hyper.batch_size)
     a0 = agent.actor.flat.copy()
     c0 = agent.critic.flat.copy()
-    ta0 = nets.params_as_vector(agent.target_actor).copy()
     agent.train_step(batch)
     assert not np.allclose(agent.actor.flat, a0)
     assert not np.allclose(agent.critic.flat, c0)
-    ta1 = nets.params_as_vector(agent.target_actor)
-    # Target moved tau of the way toward the new online parameters.
-    want = (1 - agent.hyper.tau) * ta0 + agent.hyper.tau * agent.actor.flat
-    assert np.allclose(ta1, want, atol=1e-12)
+    assert not hasattr(agent, "target_actor") and not hasattr(agent, "target_critic")
+
+
+def test_train_step_never_reads_next_state():
+    # The critic is one-step: a batch whose next states are all NaN trains to
+    # the same bytes as the same batch with finite next states.
+    agent = make_agent()
+    finite = random_batch(agent, b=agent.hyper.batch_size)
+    nan = dataclasses.replace(finite, next_state=np.full_like(finite.next_state, np.nan))
+    trained = []
+    for batch in (finite, nan):
+        agent = make_agent()
+        losses = [agent.train_step(batch) for _ in range(3)]
+        trained.append((losses, agent.actor.flat.tobytes(), agent.critic.flat.tobytes()))
+    assert trained[0] == trained[1]
 
 
 def test_divergent_batch_raises_before_any_adam_step():
@@ -281,8 +302,7 @@ def test_divergent_batch_raises_before_any_adam_step():
     agent.train_step(random_batch(agent, b=agent.hyper.batch_size))
     batch = random_batch(agent, b=agent.hyper.batch_size, seed=4)
     batch.reward[1] = np.nan
-    kept = [agent.critic.flat, agent.target_actor.flat, agent.target_critic.flat,
-            agent.critic_opt.m, agent.critic_opt.v]
+    kept = [agent.critic.flat, agent.critic_opt.m, agent.critic_opt.v]
     before = [a.copy() for a in kept]
     steps = agent.critic_opt.step_count
     with pytest.raises(TrainingDivergence):
@@ -291,15 +311,13 @@ def test_divergent_batch_raises_before_any_adam_step():
     assert agent.critic_opt.step_count == steps
 
 
-def test_load_vectors_resets_targets_and_optimizers():
+def test_load_vectors_resets_networks_and_optimizers():
     agent = make_agent()
     other = make_agent(seed=99)
     agent.critic_opt.step_count = 17
     agent.load_vectors(other.actor.flat, other.critic.flat)
     assert np.array_equal(agent.actor.flat, other.actor.flat)
-    assert np.array_equal(
-        nets.params_as_vector(agent.target_critic), other.critic.flat
-    )
+    assert np.array_equal(agent.critic.flat, other.critic.flat)
     assert agent.critic_opt.step_count == 0
     assert agent.actor_opt.lr == agent.hyper.effective_actor_lr
 
@@ -310,8 +328,7 @@ def test_load_vectors_reloads_in_place():
     for _ in range(3):
         agent.train_step(sample_batch(agent.buffer, 4, "support", agent.rng))
     agent.actor_opt.lr = agent.critic_opt.lr = 0.5
-    arrays = [agent.actor.flat, agent.critic.flat, agent.target_actor.flat,
-              agent.target_critic.flat, agent.actor_opt.m, agent.actor_opt.v,
+    arrays = [agent.actor.flat, agent.critic.flat, agent.actor_opt.m, agent.actor_opt.v,
               agent.critic_opt.m, agent.critic_opt.v]
     assert agent.critic_opt.m.any() and agent.actor_opt.step_count == 3
     other = make_agent(seed=99, hidden_sizes=(64, 64))
@@ -321,12 +338,11 @@ def test_load_vectors_reloads_in_place():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < agent.actor.flat.nbytes // 4  # no network-sized allocation
-    now = [agent.actor.flat, agent.critic.flat, agent.target_actor.flat,
-           agent.target_critic.flat, agent.actor_opt.m, agent.actor_opt.v,
+    now = [agent.actor.flat, agent.critic.flat, agent.actor_opt.m, agent.actor_opt.v,
            agent.critic_opt.m, agent.critic_opt.v]
     assert all(a is b for a, b in zip(arrays, now))
-    assert np.array_equal(agent.target_actor.flat, other.actor.flat)
-    assert np.array_equal(agent.target_critic.flat, other.critic.flat)
+    assert np.array_equal(agent.actor.flat, other.actor.flat)
+    assert np.array_equal(agent.critic.flat, other.critic.flat)
     for opt, lr in ((agent.actor_opt, 5e-4), (agent.critic_opt, 1e-3)):
         assert not opt.m.any() and not opt.v.any()
         assert opt.step_count == 0 and opt.lr == lr

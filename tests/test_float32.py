@@ -57,7 +57,7 @@ def as_float32(batch):
 def agent_arrays(agent):
     """Every array an agent learns with, by name."""
     arrays = {}
-    for name in ("actor", "critic", "target_actor", "target_critic"):
+    for name in ("actor", "critic"):
         arrays[name] = getattr(agent, name).flat
     for name in ("actor_opt", "critic_opt"):
         opt = getattr(agent, name)

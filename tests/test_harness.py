@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,21 @@ def test_config_rejects_bad_schema_version(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigurationError, match="schema_version"):
+        load_config(path)
+
+
+def test_a_schema_1_config_with_tau_names_the_key(tmp_path):
+    # Schema 2 dropped agent.tau with the target networks.
+    data = dataclasses.asdict(default_config("toy", out_dir=str(tmp_path)))
+    data["schema_version"] = 1
+    data["agent"]["tau"] = 0.005
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigurationError, match=re.escape("config.agent: unknown keys ['tau']")):
+        load_config(path)
+    del data["agent"]["tau"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigurationError, match="schema_version: expected 2, got 1"):
         load_config(path)
 
 

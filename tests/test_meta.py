@@ -1,5 +1,6 @@
 """Tests for meta-training, few-shot adaptation, and the baseline methods."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from metaran.errors import ConfigurationError, TrainingDivergence
 from metaran.mdp import TaskSpec
 from metaran.meta import (
     MetaSchedule,
+    ScheduleBlock,
     TaskState,
     apply_meta_update,
     init_meta_model,
@@ -70,6 +72,19 @@ def test_schedule_validation_and_budget():
         for value in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match=name):
                 MetaSchedule(outer_iters=10, **{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (MetaSchedule, "outer_iters", 2.5), (ScheduleBlock, "outer_iters", 2.5),
+    (ScheduleBlock, "outer_iters", 10.0), (MetaSchedule, "eval_episodes", float("nan")),
+    (ScheduleBlock, "eval_episodes", True), (MetaSchedule, "num_tasks", 1.5),
+])
+def test_schedule_rejects_a_count_that_is_not_an_integer(cls, name, value):
+    # Built, such a schedule would reach range() in meta_train and fail there
+    # with a bare TypeError, after the learner and every task's buffer exist.
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{name} must be an integer, got {value!r}")):
+        cls(**{"outer_iters": 10, name: value})
 
 
 def test_adapt_budget_rounds_every_half_up():

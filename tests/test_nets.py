@@ -41,7 +41,7 @@ def test_layer_views_alias_the_flat_vector():
     assert net.flat[3 * 4 + 4 + 2 * 2 + 1] == 7.0
     net.flat[-1] = -3.0
     assert net.biases[1][1] == -3.0
-    assert not np.shares_memory(net.copy().flat, net.flat)
+    assert not np.shares_memory(nets.params_as_vector(net), net.flat)
 
 
 def test_parameter_count_matches_closed_form():
