@@ -10,14 +10,14 @@ from .errors import ConfigurationError, ContractViolation, TrainingDivergence
 
 @dataclass(frozen=True)
 class Transition:
-    """One step (s, a, r, s'), or a sampled batch of them stacked on a leading axis."""
+    """One step (s, a, r), or a sampled batch of them stacked on a leading axis."""
 
     state: np.ndarray
     action: np.ndarray
     reward: float | np.ndarray
-    # Read by no update. It stays, and the buffer keeps it, while the
-    # benchmark's workloads build a four-field Transition (ROADMAP item 14).
-    next_state: np.ndarray
+    # Set and read by nothing in the package. Optional while the benchmark's
+    # workloads build a four-field Transition; ROADMAP item 14 deletes it.
+    next_state: np.ndarray | None = None
 
 
 def check_count(name: str, value) -> None:
@@ -91,10 +91,15 @@ class Hyper:
         return self.actor_lr if self.actor_lr > 0 else self.lr
 
 
+def buffer_nbytes(capacity: int, obs_dim: int, act_dim: int, dtype: str) -> int:
+    """Bytes of a ReplayBuffer of these sizes: one (s, a, r) row per slot."""
+    return capacity * (obs_dim + act_dim + 1) * np.dtype(dtype).itemsize
+
+
 class ReplayBuffer:
-    """FIFO ring of transitions, split by insertion parity into a support
-    partition (even inserts) and a query partition (odd inserts) so the two
-    never overlap within one update."""
+    """FIFO ring of (s, a, r) transitions, split by insertion parity into a
+    support partition (even inserts) and a query partition (odd inserts) so
+    the two never overlap within one update."""
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int, dtype: str = "float64"):
         if capacity <= 0 or capacity % 2 != 0:
@@ -103,7 +108,6 @@ class ReplayBuffer:
         self.states = np.zeros((capacity, obs_dim), dtype=dtype)
         self.actions = np.zeros((capacity, act_dim), dtype=dtype)
         self.rewards = np.zeros(capacity, dtype=dtype)
-        self.next_states = np.zeros((capacity, obs_dim), dtype=dtype)
         self.insert_count = 0
 
     def __len__(self):
@@ -114,7 +118,6 @@ class ReplayBuffer:
         self.states[i] = tr.state
         self.actions[i] = tr.action
         self.rewards[i] = tr.reward
-        self.next_states[i] = tr.next_state
         self.insert_count += 1
 
 
@@ -135,8 +138,7 @@ def sample_batch(
     offset = 0 if partition == "support" else 1
     count = (size + 1 - offset) // 2  # slots with that parity
     idx = offset + 2 * rng.choice(count, size=batch_size, replace=False)
-    return Transition(buffer.states[idx], buffer.actions[idx],
-                      buffer.rewards[idx], buffer.next_states[idx])
+    return Transition(buffer.states[idx], buffer.actions[idx], buffer.rewards[idx])
 
 
 def layer_sizes(obs_dim: int, act_dim: int, hyper: Hyper) -> tuple:
@@ -263,15 +265,15 @@ def run_episode(agent: DdpgAgent, env, train: bool):
     q_sums = np.zeros(3)
     for _ in range(h.horizon):
         action = agent.select_action(state, explore=train)
-        next_state, reward, qos = env.step(action)
+        new_state, reward, qos = env.step(action)
         if train:
-            agent.buffer.add(Transition(state, action, reward, next_state))
+            agent.buffer.add(Transition(state, action, reward))
             if len(agent.buffer) >= start:
                 agent.train_step(sample_batch(agent.buffer, h.batch_size, "support", agent.rng))
         total += discount * reward
         discount *= h.gamma
         q_sums += qos
-        state = next_state
+        state = new_state
     if train:
         agent.decay_noise()
     return total, q_sums / h.horizon

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import meta as meta_mod
 from .cell import CellBlock, CellConfig
-from .ddpg import Hyper, layer_sizes
+from .ddpg import Hyper, buffer_nbytes, check_count, layer_sizes
 from .errors import ConfigurationError
 from .mdp import TaskSpec, action_dim, observation_dim
 from .meta import MetaSchedule, ScheduleBlock
@@ -62,6 +62,8 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigurationError("seeds: at least one seed is required")
+        for i, seed in enumerate(self.seeds):
+            check_count(f"seeds[{i}]", seed)
         # derive_rng keys its streams on a seed's low 32 bits, so 2**32 would run seed 0.
         if outside := [seed for seed in self.seeds if not 0 <= seed < 2**32]:
             raise ConfigurationError(f"seeds: each seed must be in [0, 2**32), got {outside}")
@@ -69,6 +71,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"seeds: each seed may appear once, got {list(self.seeds)}")
         if not self.tasks:
             raise ConfigurationError("tasks: at least one donor task is required")
+        check_count("donor_budget", self.donor_budget)
         if self.donor_budget < 0:
             raise ConfigurationError(f"donor_budget must be >= 0, got {self.donor_budget}")
         # The cell and schedule blocks check themselves; a task, by building its TaskSpec.
@@ -96,7 +99,7 @@ class ExperimentConfig:
         num_rbs = max(t.num_rbs for t in (*self.tasks, self.new_task))
         for fields, what, size in (
             ("agent: buffer_capacity and cell: num_ues", "one task's replay buffer",
-             h.buffer_capacity * (2 * obs + act + 1) * item),
+             buffer_nbytes(h.buffer_capacity, obs, act, h.dtype)),
             ("cell: num_ues and agent: hidden_sizes", "one actor's parameters", actor),
             ("cell: num_ues and agent: hidden_sizes", "one critic's parameters", critic),
             ("cell: num_neighbors, num_ues and the tasks' largest num_rbs", "one channel draw",

@@ -13,6 +13,7 @@ from metaran.ddpg import (
     Hyper,
     ReplayBuffer,
     Transition,
+    buffer_nbytes,
     evaluate_policy,
     run_episode,
     sample_batch,
@@ -112,6 +113,24 @@ def test_buffer_len_and_wraparound():
     for capacity in (5, 0):  # the parity split needs a positive even capacity
         with pytest.raises(ConfigurationError, match="capacity"):
             ReplayBuffer(capacity, 2, 1)
+
+
+@pytest.mark.parametrize("profile", ["toy", "paper"])
+def test_buffer_nbytes_is_the_size_of_a_real_buffer(profile):
+    cfg = harness.default_config(profile)
+    h, dims = cfg.agent, task_dims(cfg.new_task_spec())
+    buf = ReplayBuffer(h.buffer_capacity, *dims, h.dtype)
+    nbytes = buffer_nbytes(h.buffer_capacity, *dims, h.dtype)
+    assert nbytes == buf.states.nbytes + buf.actions.nbytes + buf.rewards.nbytes
+    if profile == "paper":
+        assert nbytes == 49_600_000  # 100,000 rows of 124 float32s
+
+
+def test_run_episode_stores_no_next_state():
+    agent = make_agent()
+    run_episode(agent, ConstantRewardEnv(agent.obs_dim), train=True)
+    assert agent.buffer.insert_count == agent.hyper.horizon
+    assert not hasattr(agent.buffer, "next_states")
 
 
 def test_partitions_are_disjoint_and_cover():

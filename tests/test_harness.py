@@ -149,6 +149,17 @@ def test_config_validation():
         small_config("out", tasks=())
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("seeds", (0.5,), "seeds[0] must be an integer, got 0.5"),  # derive_rng would run seed 0
+    ("seeds", (1, True), "seeds[1] must be an integer, got True"),  # would write *_seedTrue.csv
+    # tl would raise TypeError once meta had finished training.
+    ("donor_budget", 2.5, "donor_budget must be an integer, got 2.5"),
+])
+def test_config_rejects_a_count_that_is_not_an_integer(name, value, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        dataclasses.replace(default_config("toy"), **{name: value})
+
+
 # -- metrics log -------------------------------------------------------------
 
 

@@ -302,7 +302,7 @@ def test_task_state_rng_equals_a_fresh_agents_on_the_same_stream():
     agent = DdpgAgent(*task_dims(task), h, derive_rng(4, "meta-train", "agent", task.task_id))
     assert state.rng.bit_generator.state == agent.rng.bit_generator.state
     assert state.noise_std == agent.noise_std
-    for name in ("states", "actions", "rewards", "next_states"):
+    for name in ("states", "actions", "rewards"):
         mine, theirs = getattr(state.buffer, name), getattr(agent.buffer, name)
         assert (mine.shape, mine.dtype) == (theirs.shape, theirs.dtype), name
     assert state.buffer.insert_count == 0
