@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_fields
 
 TRAFFIC_LEVELS = ("idle", "low", "mid", "high")
 IDLE = 0
@@ -48,8 +48,9 @@ class CellBlock:
     neighbor_occupancy: float = 0.5
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("num_ues", "rb_bandwidth", "path_loss_exp"):
-            if not getattr(self, name) > 0:  # NaN too
+            if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
         # step_mobility mirrors a UE at distance d back to 2R - d, which lies in
         # the disc only while d <= 3R; a step moves a UE under SPEED_MAX.
@@ -60,9 +61,6 @@ class CellBlock:
                 getattr(self, name.removesuffix("_dbm"))
             except OverflowError:
                 raise ConfigurationError(f"{name} overflows as a power in mW") from None
-        for name in ("p_min_dbm", "p_max_dbm", "path_loss_exp", "cell_radius_m"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
         with np.errstate(all="ignore"):  # a non-finite power is rejected here, not warned about
             if not 0 < self.noise_rb_mw < np.inf:
                 raise ConfigurationError(
@@ -110,9 +108,9 @@ class CellConfig(CellBlock):
     num_rbs: int = 60
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.num_rbs > 0:
             raise ConfigurationError("num_rbs must be positive")
-        super().__post_init__()
 
 
 @dataclass(frozen=True)

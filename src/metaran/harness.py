@@ -5,7 +5,6 @@ import dataclasses
 import json
 import os
 import re
-import sys
 import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -15,8 +14,8 @@ import numpy as np
 
 from . import meta as meta_mod
 from .cell import CellBlock, CellConfig
-from .ddpg import Hyper, buffer_nbytes, check_count, layer_sizes
-from .errors import ConfigurationError
+from .ddpg import Hyper, buffer_nbytes, layer_sizes
+from .errors import ConfigurationError, check_fields
 from .mdp import TaskSpec, action_dim, observation_dim
 from .meta import MetaSchedule, ScheduleBlock
 from .nets import num_params
@@ -41,6 +40,9 @@ class TaskBlock:
     demand_min: float
     demand_max: float
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -56,14 +58,13 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        check_fields(self)
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"schema_version: expected {SCHEMA_VERSION}, got {self.schema_version}"
             )
         if not self.seeds:
             raise ConfigurationError("seeds: at least one seed is required")
-        for i, seed in enumerate(self.seeds):
-            check_count(f"seeds[{i}]", seed)
         # derive_rng keys its streams on a seed's low 32 bits, so 2**32 would run seed 0.
         if outside := [seed for seed in self.seeds if not 0 <= seed < 2**32]:
             raise ConfigurationError(f"seeds: each seed must be in [0, 2**32), got {outside}")
@@ -71,7 +72,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"seeds: each seed may appear once, got {list(self.seeds)}")
         if not self.tasks:
             raise ConfigurationError("tasks: at least one donor task is required")
-        check_count("donor_budget", self.donor_budget)
         if self.donor_budget < 0:
             raise ConfigurationError(f"donor_budget must be >= 0, got {self.donor_budget}")
         # The cell and schedule blocks check themselves; a task, by building its TaskSpec.
@@ -144,36 +144,20 @@ def _block(name):
         raise ConfigurationError(f"{name}: {exc}") from exc
 
 
-def _want(kind) -> str:
-    """What a JSON value must be to be read as the annotated type kind."""
-    if typing.get_origin(kind) is tuple:
-        return f"a list, each item {_want(typing.get_args(kind)[0])}"
-    return {int: "an integer", float: "a finite number", str: "a string"}.get(kind, "an object")
-
-
-def _read(kind, value, path, misfit):
-    """The JSON value at path read as the annotated type kind: a dataclass from
-    an object with no unknown keys, tuple[X, ...] from a list of X. A value
-    that does not fit raises ConfigurationError(f"{misfit}, got {value!r}")."""
+def _read(kind, value, path):
+    """The JSON value at path in its annotated shape: a record from an object with no
+    unknown keys, a tuple from a list; any other value as it is, for its record to check."""
     if dataclasses.is_dataclass(kind) and isinstance(value, dict):
         fields = {f.name: f.type for f in dataclasses.fields(kind)}
         if unknown := set(value) - set(fields):
             raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
-        kwargs = {name: _read(fields[name], item, f"{path}.{name}",
-                              f"{path}: {name} must be {_want(fields[name])}")
-                  for name, item in value.items()}
+        kwargs = {name: _read(fields[name], v, f"{path}.{name}") for name, v in value.items()}
         with _block(path):
             return kind(**kwargs)
     if typing.get_origin(kind) is tuple and isinstance(value, list):
-        return tuple(_read(typing.get_args(kind)[0], v, f"{path}[{i}]", misfit)
+        return tuple(_read(typing.get_args(kind)[0], v, f"{path}[{i}]")
                      for i, v in enumerate(value))
-    # type(), not isinstance(): a bool is not a number. A float is read from a
-    # number that fits a finite float, which NaN, the infinities and 10**400 do not.
-    if kind in (int, str) and type(value) is kind:
-        return value
-    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ConfigurationError(f"{misfit}, got {value!r}")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -183,7 +167,9 @@ def load_config(path) -> ExperimentConfig:
             data = json.load(fh)
         except ValueError as exc:  # bad syntax or UTF-8, or an int of over 4300 digits
             raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-    return _read(ExperimentConfig, data, "config", f"{path}: config must be an object")
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: config must be an object, got {data!r}")
+    return _read(ExperimentConfig, data, "config")
 
 
 def save_config(path, config: ExperimentConfig) -> None:

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .cell import CellConfig
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, check_fields
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,9 @@ class TaskSpec:
     task_id: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if not (0 <= self.demand_min < self.demand_max):
             raise ConfigurationError("need 0 <= demand_min < demand_max")
-        if not np.isfinite(self.demand_max):
-            raise ConfigurationError("demand_max must be finite")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import mdp, nets
-from .ddpg import (DdpgAgent, Hyper, ReplayBuffer, check_count, evaluate_policy,
-                   init_actor_critic, run_episode, sample_batch)
+from .ddpg import (DdpgAgent, Hyper, ReplayBuffer, evaluate_policy, init_actor_critic,
+                   run_episode, sample_batch)
 from .episode import TaskEnv
-from .errors import ConfigurationError, ContractViolation, TrainingDivergence
+from .errors import ConfigurationError, ContractViolation, TrainingDivergence, check_fields
 from .mdp import TaskSpec
 from .seeding import derive_rng, derive_seed
 
@@ -41,12 +41,11 @@ class ScheduleBlock:
     meta_critic_lr: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         for f in fields(self):  # a count (MetaSchedule.num_tasks too) >= 1, a step size >= 0
-            if f.type is int:
-                check_count(f.name, getattr(self, f.name))
             least = 1 if f.type is int else 0
-            if not least <= getattr(self, f.name) < np.inf:  # NaN too
-                raise ConfigurationError(f"{f.name} must be finite and >= {least}")
+            if getattr(self, f.name) < least:
+                raise ConfigurationError(f"{f.name} must be >= {least}")
 
     @property
     def adapt_budget(self) -> int:

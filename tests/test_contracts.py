@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from metaran import ddpg, harness, mdp, meta, nets
-from metaran.cell import CellConfig
+from metaran.cell import CellBlock, CellConfig
 from metaran.episode import TaskEnv
 from metaran.errors import ConfigurationError, ContractViolation
 
@@ -281,7 +282,67 @@ def test_config_values_of_the_wrong_type_are_rejected_at_load(tmp_path, block, k
     with pytest.raises(ConfigurationError) as info:
         harness.load_config(_edited_config(tmp_path, block, key, value))
     where = f"config.{block}" if block else "config"
-    assert f"{where}: {key} must be" in str(info.value)
+    field = f"{key}[0]" if isinstance(value, list) else key  # a bad item is named by its index
+    assert f"{where}: {field} must be" in str(info.value)
+
+
+# A valid instance of every config record.
+CONFIG_RECORDS = (
+    CellBlock(), CellConfig(), harness.TaskBlock(8, 0.4e6, 2e6),
+    mdp.TaskSpec(0.4e6, 2e6, CellConfig()), ddpg.Hyper(), meta.ScheduleBlock(),
+    meta.MetaSchedule(), harness.default_config("toy"),
+)
+# The file block each field of a block is read from; a top-level field is
+# read from the top level, and num_tasks, task_id and cell_config from no file.
+FILE_BLOCK = {g.name: f.name for f in dataclasses.fields(harness.ExperimentConfig)
+              if dataclasses.is_dataclass(f.type) for g in dataclasses.fields(f.type)}
+FILE_BLOCK |= {f.name: None for f in dataclasses.fields(harness.ExperimentConfig)}
+
+
+def _misfits(kind):
+    """(value, suffix) pairs that a field annotated kind rejects, naming itself
+    with the suffix: a tuple field names its bad item."""
+    if typing.get_origin(kind) is tuple:
+        return [([value], "[0]") for value, _ in _misfits(typing.get_args(kind)[0])]
+    if kind is int:
+        return [(True, ""), (2.5, ""), ("5", "")]
+    if kind is float:
+        return [(True, ""), (float("nan"), ""), (float("inf"), ""), (10**400, "")]
+    return [(5, "")]  # for a str or a record
+
+
+@pytest.mark.parametrize("record, name, value, suffix", [
+    pytest.param(record, f.name, value, suffix,
+                 id=f"{type(record).__name__}.{f.name}{suffix}={repr(value)[:8]}")
+    for record in CONFIG_RECORDS for f in dataclasses.fields(record)
+    for value, suffix in _misfits(f.type)
+])
+def test_every_config_field_is_checked_in_code_as_at_load(tmp_path, record, name, value, suffix):
+    with pytest.raises(ConfigurationError) as info:
+        dataclasses.replace(record, **{name: value})
+    message = str(info.value)
+    assert message.startswith(f"{name}{suffix} must be ")
+    if name in FILE_BLOCK:
+        block = FILE_BLOCK[name]
+        with pytest.raises(ConfigurationError) as info:
+            harness.load_config(_edited_config(tmp_path, block, name, value))
+        assert str(info.value) == f"config{f'.{block}' if block else ''}: {message}"
+
+
+@pytest.mark.parametrize("record, name", [
+    pytest.param(record, f.name, id=f"{type(record).__name__}.{f.name}")
+    for record in CONFIG_RECORDS for f in dataclasses.fields(record)
+    if typing.get_origin(f.type) is tuple
+])
+def test_a_list_for_a_tuple_field_is_stored_as_a_tuple(record, name):
+    built = dataclasses.replace(record, **{name: list(getattr(record, name))})
+    assert type(getattr(built, name)) is tuple
+    assert built == record and hash(built) == hash(record)
+
+
+def test_an_int_for_a_float_field_is_stored_as_a_float():
+    cell = CellConfig(rb_bandwidth=200_000)
+    assert type(cell.rb_bandwidth) is float and cell == CellConfig()
 
 
 def test_config_number_written_as_1e400_is_rejected_at_load(tmp_path):

@@ -160,6 +160,14 @@ def test_config_rejects_a_count_that_is_not_an_integer(name, value, message):
         dataclasses.replace(default_config("toy"), **{name: value})
 
 
+def test_a_task_with_a_fractional_rb_count_fails_before_any_training():
+    # Built, such a config would meta-train on the donors to the end and only
+    # then fail, in adaptation on the new task, with a bare TypeError.
+    with pytest.raises(ConfigurationError, match=re.escape("num_rbs must be an integer, got 10.5")):
+        dataclasses.replace(default_config("toy"),
+                            new_task=TaskBlock(num_rbs=10.5, demand_min=0.4e6, demand_max=2e6))
+
+
 # -- metrics log -------------------------------------------------------------
 
 
